@@ -16,10 +16,9 @@ Every command accepts ``--seed`` for reproducibility; human-readable
 summaries go through the ``repro`` logger to stdout (``-v`` for
 shard-level progress, ``-q`` to silence summaries). ``--trace-dir``
 exports a merged span trace + metrics snapshot; ``--metrics`` logs the
-metrics snapshot after the command. ``fuzz``/``profile``/``deploy``
-keep an in-memory measurement cache per run; ``--cache-dir`` persists
-it on disk (warm re-runs replay measurements bit for bit) and
-``--no-cache`` turns it off.
+metrics snapshot after the command. ``fuzz``/``deploy`` accept
+``--cache-dir``, a shard store shared across runs: a re-run of the same
+campaign screens nothing and reports bit for bit the same.
 """
 
 from __future__ import annotations
@@ -71,17 +70,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--processor", default="amd-epyc-7252",
                         help="processor model (default amd-epyc-7252)")
     _add_logging(parser)
-
-
-def _add_cache_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-dir", default="",
-                        help="directory for the shared on-disk "
-                             "measurement cache (persists across runs "
-                             "and shard workers; re-runs replay cached "
-                             "measurements bit for bit)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the measurement cache entirely "
-                             "(default: in-memory cache for this run)")
 
 
 def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
@@ -157,6 +145,12 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="resume from --checkpoint-dir instead of "
                              "re-screening completed shards")
+    parser.add_argument("--cache-dir", default="",
+                        help="shard store shared across runs: reuses "
+                             "every screened shard of the same "
+                             "configuration and shard size, so a re-run "
+                             "or a larger budget screens only new "
+                             "shards (conflicts with --checkpoint-dir)")
     parser.add_argument("--shard-timeout", type=_positive_float,
                         default=None, metavar="SECONDS",
                         help="per-shard wall-clock budget; a blown "
@@ -180,6 +174,8 @@ def _campaign_kwargs(args: argparse.Namespace) -> dict:
     """Validated campaign options shared by ``fuzz`` and ``deploy``."""
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
+    if args.cache_dir and args.checkpoint_dir:
+        raise SystemExit("--cache-dir conflicts with --checkpoint-dir")
     fault_plan = None
     if getattr(args, "fault_plan", ""):
         from repro.resilience import FaultPlan
@@ -190,7 +186,7 @@ def _campaign_kwargs(args: argparse.Namespace) -> dict:
     return {"workers": args.workers,
             "checkpoint_dir": args.checkpoint_dir or None,
             "resume": args.resume,
-            "cache_dir": getattr(args, "cache_dir", "") or None,
+            "cache_dir": args.cache_dir or None,
             "fault_plan": fault_plan,
             "shard_timeout": getattr(args, "shard_timeout", None),
             "max_retries": getattr(args, "max_retries", 2)}
@@ -208,35 +204,6 @@ def _log_metrics_snapshot(snapshot: dict) -> None:
         _say(f"  {name} = {counters[name]:g}")
     for name in sorted(gauges):
         _say(f"  {name} = {gauges[name]:g}")
-
-
-@contextlib.contextmanager
-def _cache_scope(args: argparse.Namespace):
-    """Activate the measurement cache for one command.
-
-    Default is a per-run in-memory cache; ``--cache-dir`` adds the
-    shared on-disk tier, ``--no-cache`` goes without one entirely.
-    """
-    cache_dir = getattr(args, "cache_dir", None)
-    no_cache = bool(getattr(args, "no_cache", False))
-    if cache_dir is None and not no_cache:
-        # Command has no cache flags (attack/report): nothing to scope.
-        yield
-        return
-    if no_cache:
-        if cache_dir:
-            raise SystemExit("--no-cache conflicts with --cache-dir")
-        yield
-        return
-    from repro.cache import runtime as cache_runtime
-    with cache_runtime.session(cache_dir=cache_dir or None) as cache:
-        yield
-        stats = cache.stats
-        if stats.lookups:
-            _say(f"measurement cache: {stats.hits}/{stats.lookups} hits "
-                 f"({stats.hit_rate:.1%}), {stats.stored} stored"
-                 + (f", {stats.bytes_written:,} bytes to {cache_dir}"
-                    if cache_dir else ""))
 
 
 @contextlib.contextmanager
@@ -334,6 +301,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     campaign_kwargs = _campaign_kwargs(args)
     if args.corpus_dir and args.strategy != "coverage":
         raise SystemExit("--corpus-dir requires --strategy coverage")
+    if args.cache_dir and args.strategy != "grammar":
+        raise SystemExit("--cache-dir requires --strategy grammar")
     catalog = processor_catalog(args.processor)
     events = np.flatnonzero(catalog.guest_sensitive)
     if args.events:
@@ -936,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profiling runs per secret")
     p.add_argument("--top", type=int, default=8,
                    help="vulnerable events to print")
-    _add_cache_options(p)
     _add_telemetry_options(p)
     _add_obs_options(p)
     p.set_defaults(func=cmd_profile)
@@ -957,7 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "coverage (persists minimized seeds + coverage "
                         "signatures across runs)")
     _add_campaign_options(p)
-    _add_cache_options(p)
     _add_telemetry_options(p)
     _add_obs_options(p)
     p.set_defaults(func=cmd_fuzz)
@@ -1010,7 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("-o", "--output", default="aegis-artifact.json")
     _add_campaign_options(p)
-    _add_cache_options(p)
     _add_telemetry_options(p)
     _add_obs_options(p)
     p.set_defaults(func=cmd_deploy)
@@ -1180,7 +1146,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     configure_cli_logging(verbose=getattr(args, "verbose", 0),
                           quiet=getattr(args, "quiet", False))
-    with _telemetry_scope(args), _obs_scope(args), _cache_scope(args):
+    with _telemetry_scope(args), _obs_scope(args):
         return args.func(args)
 
 

@@ -56,9 +56,10 @@ class Aegis:
     fault_plan / shard_timeout / max_retries:
         Fuzzing-campaign execution knobs, forwarded to
         :class:`FuzzingCampaign`. They change how the screening budget
-        is scheduled (parallel workers, checkpoint artifacts, the
-        shared measurement cache, fault injection and retry policy),
-        never the resulting covering set for a fixed seed.
+        is scheduled (parallel workers, checkpoint artifacts, the shard
+        store ``cache_dir`` reuses across runs, fault injection and
+        retry policy), never the resulting covering set for a fixed
+        seed. ``cache_dir`` conflicts with ``checkpoint_dir``.
     """
 
     def __init__(self, workload: Workload,

@@ -15,10 +15,12 @@ the screening stage per shard, with three guarantees:
   artifact; a campaign killed mid-run resumes from the checkpoint
   directory and produces the same report as an uninterrupted run.
   Corrupt or stale shard files are detected via a config fingerprint
-  and transparently re-screened.
-- **Shared code path** — the sequential :meth:`EventFuzzer.fuzz` and
-  the parallel :class:`FuzzingCampaign` both drive :func:`screen_shard`
-  and :func:`merge_screened`, then hand the merged candidate pool to
+  and transparently re-screened. The same store serves ``cache_dir``:
+  one checkpoint directory per configuration fingerprint, always
+  resumed, so a re-run of a campaign screens nothing.
+- **One code path** — :meth:`EventFuzzer.fuzz` is a 1-worker
+  :class:`FuzzingCampaign`; every campaign drives :func:`screen_shard`
+  and :func:`merge_screened`, then hands the merged candidate pool to
   the fuzzer's confirmation/filtering stages, so a 1-worker and an
   N-worker campaign with the same seed produce the identical covering
   set.
@@ -26,30 +28,23 @@ the screening stage per shard, with three guarantees:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from repro.cache import runtime as cache_runtime
-from repro.cache.cache import CachedMeasurement
-from repro.cache.fingerprint import (
-    measurement_key,
-    program_bytes,
-    screening_config_digest,
-)
 from repro.core.fuzzer.cleanup import CleanupReport, InstructionCleaner
 from repro.core.fuzzer.generator import ExecutionHarness
 from repro.core.fuzzer.grammar import Gadget, GadgetGrammar
 from repro.cpu import batch
 from repro.cpu.core import Core
+from repro.fleet.statefile import write_text_atomic
 from repro.isa.catalog import shared_catalog
 from repro.isa.legality import MICROARCH_PROFILES
 from repro.isa.spec import InstructionSpec
@@ -62,6 +57,7 @@ from repro.resilience.supervisor import (
     SupervisorPolicy,
 )
 from repro.telemetry import runtime as telemetry
+from repro.utils.digest import config_digest
 from repro.utils.rng import derive_stream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
@@ -75,7 +71,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_SHARD_SIZE = 256
 
 #: Checkpoint artifact schema version.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -205,19 +201,9 @@ def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
     Each gadget is sampled, measured, and thresholded under its own RNG
     stream from a reset-then-warmed core, so the result is identical no
     matter which process runs the shard or what ran before it.
-
-    When a measurement cache is active (:mod:`repro.cache.runtime`),
-    each gadget's program is assembled and fingerprinted first — a hit
-    replays the stored deltas bit for bit and skips the
-    ``execute_program`` call entirely, a miss measures and stores. The
-    key covers (program bytes, measurement config, per-gadget RNG
-    stream id, repetition count), so any configuration change misses
-    cleanly instead of replaying stale data.
     """
     wall = time.perf_counter()
     cpu = time.process_time()
-    cache = cache_runtime.active()
-    config_digest = screening_config_digest(config) if cache.enabled else ""
     with telemetry.tracer().span("fuzz.screen_shard", shard=shard.index,
                                  start=shard.start, count=shard.count):
         legal = default_cleanup(config.microarch).legal
@@ -242,26 +228,11 @@ def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
             core.reset_microarch_state()
             harness.warm_measurement_state()
             harness.set_rng(stream)
-            if cache.enabled:
-                program = harness.build_program(
-                    list(gadget.reset) + list(gadget.trigger),
-                    repeats=config.unroll)
-                key = measurement_key(
-                    program_bytes(program), config_digest,
-                    (config.entropy, gadget_index), config.unroll)
-                cached = cache.get(key)
-                if cached is not None:
-                    deltas = cached.delta_array()
-                else:
-                    measured = harness.measure_program(program, events)
-                    deltas = measured.deltas
-                    cache.put(key, CachedMeasurement.from_measured(measured))
-            else:
-                # Reset + warm-up above put the core in the canonical
-                # state, so the batch engine's archetype memo can serve
-                # repeat gadget shapes without executing (bit-identical
-                # to measure_gadget by the equivalence suite).
-                deltas = harness.screen_measure(gadget, events).deltas
+            # Reset + warm-up above put the core in the canonical state,
+            # so the batch engine's archetype memo can serve repeat
+            # gadget shapes without executing (bit-identical to
+            # measure_gadget by the equivalence suite).
+            deltas = harness.screen_measure(gadget, events).deltas
             for j in np.flatnonzero(deltas > thresholds):
                 screened[int(events[j])].append(
                     (gadget_index, float(deltas[j])))
@@ -280,7 +251,6 @@ def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
 
 def screen_shard_traced(config: ShardConfig, shard: ShardSpec,
                         trace_dir: "str | None" = None,
-                        cache_dir: "str | None" = None,
                         fault_plan: "FaultPlan | None" = None,
                         attempt: int = 0,
                         sacrificial: bool = False) -> ShardResult:
@@ -291,12 +261,6 @@ def screen_shard_traced(config: ShardConfig, shard: ShardSpec,
     same files whether the shard runs in-process or on a pool worker —
     so the parent's deterministic merge is invariant to worker count.
 
-    With a ``cache_dir``, a measurement-cache session is opened around
-    the shard when the process has none active yet (pool workers under
-    the spawn start method, or a campaign given an explicit directory):
-    every worker's on-disk tier points at the same store, so shards
-    warm each other across processes and runs.
-
     With a ``fault_plan``, the plan is armed for the duration of the
     shard (unless the process already has an armed injector — the
     in-process path under an ambient chaos session) and the
@@ -306,7 +270,6 @@ def screen_shard_traced(config: ShardConfig, shard: ShardSpec,
     process runs the retry — and ``sacrificial`` marks pool workers,
     where ``kill``-mode faults are allowed to take the process down.
     """
-    needs_cache = cache_dir is not None and not cache_runtime.enabled()
     needs_faults = fault_plan is not None and not resilience.armed()
     # Bisected sub-shards (index < 0) and retries get their own
     # telemetry files, so a failed attempt's fault.* counters survive
@@ -315,9 +278,7 @@ def screen_shard_traced(config: ShardConfig, shard: ShardSpec,
                else f"shard-sub-{shard.start:06d}")
     if attempt:
         process = f"{process}-r{attempt}"
-    with (cache_runtime.session(cache_dir=cache_dir) if needs_cache
-          else nullcontext()), \
-         (resilience.session(fault_plan, sacrificial=sacrificial)
+    with (resilience.session(fault_plan, sacrificial=sacrificial)
           if needs_faults else nullcontext()):
         if trace_dir is None:
             resilience.check("campaign.shard", key=shard.start,
@@ -374,37 +335,21 @@ def critical_path_seconds(cpu_seconds: Iterable[float], workers: int) -> float:
 # -- checkpoint artifacts -------------------------------------------------
 
 
-def config_fingerprint(config: ShardConfig, budget: int,
-                       shard_size: int) -> str:
-    """Stable digest tying checkpoints to one campaign configuration."""
-    payload = json.dumps({"config": asdict(config), "budget": budget,
+def config_fingerprint(config: ShardConfig, shard_size: int) -> str:
+    """Stable digest tying checkpoints to one campaign configuration.
+
+    The budget is left out: a shard's result depends only on the
+    config, its start and its count (which the loader checks), so a
+    larger budget reuses every full shard of a smaller run.
+    """
+    return config_digest({"config": asdict(config),
                           "shard_size": shard_size,
-                          "version": CHECKPOINT_VERSION}, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+                          "version": CHECKPOINT_VERSION})
 
 
 def shard_checkpoint_path(checkpoint_dir: "str | Path",
                           shard_index: int) -> Path:
     return Path(checkpoint_dir) / f"shard-{shard_index:05d}.json"
-
-
-def _fsync_file(fh) -> None:
-    fh.flush()
-    os.fsync(fh.fileno())
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a rename within it survives a power cut."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def _checkpoint_generation(path: Path) -> int:
@@ -420,15 +365,15 @@ def save_shard_checkpoint(checkpoint_dir: "str | Path", result: ShardResult,
                           fingerprint: str) -> Path:
     """Durably persist one shard's screening result as JSON.
 
-    The temp file is fsynced before the atomic rename (and the
-    directory after it), so a crash mid-write can never leave a torn
-    primary; the previous generation is kept as ``.bak``, so even a
-    checkpoint damaged *after* the rename (bit rot, a torn write the
-    ``checkpoint.write`` fault point simulates) rolls back to the
-    last-known-good generation on resume instead of losing the shard.
+    The write goes through the durable writer
+    (:func:`~repro.fleet.statefile.write_text_atomic`), so a crash
+    mid-write can never leave a torn primary; the previous generation
+    is kept as ``.bak``, so even a checkpoint damaged *after* the
+    rename (bit rot, a torn write the ``checkpoint.write`` fault point
+    simulates) rolls back to the last-known-good generation on resume
+    instead of losing the shard.
     """
     path = shard_checkpoint_path(checkpoint_dir, result.index)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": CHECKPOINT_VERSION,
         "fingerprint": fingerprint,
@@ -446,15 +391,11 @@ def save_shard_checkpoint(checkpoint_dir: "str | Path", result: ShardResult,
     action = resilience.check("checkpoint.write", key=result.index)
     if action is not None and action.mode == "corrupt":
         body = corrupt_text(body, key=result.index)
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(body)
-        _fsync_file(fh)
-    if path.exists():
+    # Suppressed: no primary yet, or a campaign sharing the store
+    # already moved it.
+    with suppress(FileNotFoundError):
         os.replace(path, path.with_suffix(".json.bak"))
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-    return path
+    return write_text_atomic(path, body)
 
 
 def _parse_shard_checkpoint(path: Path, shard: ShardSpec,
@@ -509,11 +450,9 @@ def write_campaign_manifest(checkpoint_dir: "str | Path",
                             config: ShardConfig, budget: int,
                             shard_size: int, num_shards: int) -> Path:
     """Human-readable campaign descriptor next to the shard files."""
-    path = Path(checkpoint_dir) / "campaign.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": CHECKPOINT_VERSION,
-        "fingerprint": config_fingerprint(config, budget, shard_size),
+        "fingerprint": config_fingerprint(config, shard_size),
         "budget": budget,
         "shard_size": shard_size,
         "num_shards": num_shards,
@@ -522,13 +461,8 @@ def write_campaign_manifest(checkpoint_dir: "str | Path",
         "entropy": config.entropy,
         "events": list(config.event_indices),
     }
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2))
-        _fsync_file(fh)
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-    return path
+    return write_text_atomic(Path(checkpoint_dir) / "campaign.json",
+                             json.dumps(payload, indent=2))
 
 
 # -- the campaign engine --------------------------------------------------
@@ -581,13 +515,13 @@ class FuzzingCampaign:
         Load valid shard checkpoints from ``checkpoint_dir`` instead of
         re-screening them. Requires ``checkpoint_dir``.
     cache_dir:
-        Directory for the shared on-disk measurement cache. Worker
-        processes open a cache session against it per shard, so the
-        cache survives resume and is shared across shards, workers, and
-        repeated campaigns; a changed measurement configuration changes
-        every cache key and therefore invalidates cleanly. ``None``
-        falls back to the process-global cache runtime (which the CLI
-        configures from ``--cache-dir``).
+        Directory of the shard store shared across campaigns: exactly
+        ``checkpoint_dir=cache_dir/<fingerprint>, resume=True``, where
+        the fingerprint covers the screening configuration and shard
+        size but not the budget. A re-run screens nothing and reports
+        bit-identically, a larger budget reuses every full shard of a
+        smaller run, and any configuration change misses cleanly.
+        Conflicts with ``checkpoint_dir``; grammar strategy only.
     shard_hook:
         Optional callback invoked with each freshly screened
         :class:`ShardResult` (after it is checkpointed) — progress
@@ -641,6 +575,10 @@ class FuzzingCampaign:
                                 f"from {self.STRATEGIES}")
         if corpus_dir is not None and strategy != "coverage":
             raise CampaignError("corpus_dir requires strategy='coverage'")
+        if cache_dir is not None and checkpoint_dir is not None:
+            raise CampaignError("cache_dir conflicts with checkpoint_dir")
+        if cache_dir is not None and strategy != "grammar":
+            raise CampaignError("cache_dir requires strategy='grammar'")
         self.strategy = strategy
         self.corpus_dir = Path(corpus_dir) if corpus_dir is not None else None
         self.search_options = dict(search_options or {})
@@ -662,20 +600,6 @@ class FuzzingCampaign:
                 raise CampaignError(str(exc)) from exc
         self.policy = supervisor_policy
         self.stats = CampaignStats()
-
-    def _shard_cache_dir(self) -> "str | None":
-        """The on-disk cache directory shards should attach to.
-
-        An explicit ``cache_dir`` wins; otherwise an active process
-        cache with a disk tier is forwarded so pool workers (which may
-        not inherit it under the spawn start method) share the store.
-        """
-        if self.cache_dir is not None:
-            return str(self.cache_dir)
-        active = cache_runtime.active()
-        if active.enabled and active.cache_dir is not None:
-            return str(active.cache_dir)
-        return None
 
     def run(self, event_indices: "np.ndarray | list[int]") -> "FuzzingReport":
         """Screen all shards (supervised, resumable), then confirm/filter.
@@ -719,8 +643,6 @@ class FuzzingCampaign:
             cleanup = fuzzer.run_cleanup()
         step_seconds["cleanup"] = time.perf_counter() - start
 
-        if self.workers > 1:
-            fuzzer.require_shardable()
         search_checkpoint = (self.checkpoint_dir / "search"
                              if self.checkpoint_dir is not None else None)
         search = CoverageSearch(
@@ -757,7 +679,6 @@ class FuzzingCampaign:
         tracer = telemetry.tracer()
         trace_dir = telemetry.trace_dir()
         shard_trace_dir = str(trace_dir) if trace_dir is not None else None
-        shard_cache_dir = self._shard_cache_dir()
 
         start = time.perf_counter()
         with tracer.span("fuzz.cleanup"):
@@ -766,18 +687,18 @@ class FuzzingCampaign:
 
         config = fuzzer.shard_config(events)
         plan = plan_shards(fuzzer.gadget_budget, fuzzer.shard_size)
-        fingerprint = config_fingerprint(config, fuzzer.gadget_budget,
-                                         fuzzer.shard_size)
-        if self.workers > 1:
-            fuzzer.require_shardable()
+        fingerprint = config_fingerprint(config, fuzzer.shard_size)
+        checkpoint_dir, resume = self.checkpoint_dir, self.resume
+        if self.cache_dir is not None:
+            checkpoint_dir, resume = self.cache_dir / fingerprint, True
 
         start = time.perf_counter()
         # Results are keyed by shard *start* (unique even for bisected
         # sub-shards, whose synthetic index is -1).
         results: dict[int, ShardResult] = {}
-        if self.resume and self.checkpoint_dir is not None:
+        if resume:
             for shard in plan:
-                loaded = load_shard_checkpoint(self.checkpoint_dir, shard,
+                loaded = load_shard_checkpoint(checkpoint_dir, shard,
                                                fingerprint)
                 if loaded is not None:
                     results[shard.start] = loaded
@@ -786,18 +707,18 @@ class FuzzingCampaign:
         logger.debug("campaign: %d shards planned, %d resumed, "
                      "%d pending on %d worker(s)", len(plan), resumed,
                      len(pending), self.workers)
-        if self.checkpoint_dir is not None:
-            write_campaign_manifest(self.checkpoint_dir, config,
+        if checkpoint_dir is not None:
+            write_campaign_manifest(checkpoint_dir, config,
                                     fuzzer.gadget_budget, fuzzer.shard_size,
                                     len(plan))
 
         supervisor = ShardSupervisor(
             fn=screen_shard_traced,
             args=lambda shard, attempt, sacrificial: (
-                config, shard, shard_trace_dir, shard_cache_dir,
-                self.fault_plan, attempt, sacrificial),
-            on_result=lambda result: self._complete(result, fingerprint,
-                                                    results),
+                config, shard, shard_trace_dir, self.fault_plan, attempt,
+                sacrificial),
+            on_result=lambda result: self._complete(
+                result, checkpoint_dir, fingerprint, results),
             empty_result=lambda shard: ShardResult(
                 index=-1, start=shard.start, count=shard.count,
                 screened={int(e): [] for e in config.event_indices}),
@@ -815,6 +736,12 @@ class FuzzingCampaign:
             registry.counter("campaign.shards_resumed").inc(resumed)
             registry.counter("campaign.shards_screened").inc(len(pending))
             registry.gauge("campaign.workers").set(self.workers)
+            if self.cache_dir is not None:
+                # Counted in gadgets: a reused shard's are all hits.
+                misses = sum(shard.count for shard in pending)
+                registry.counter("cache.hits").inc(
+                    fuzzer.gadget_budget - misses)
+                registry.counter("cache.misses").inc(misses)
 
         self.stats = CampaignStats(
             num_shards=len(plan), resumed_shards=resumed,
@@ -831,7 +758,8 @@ class FuzzingCampaign:
         merged = merge_screened(results.values())
         return fuzzer.finalize(cleanup, merged, events, step_seconds)
 
-    def _complete(self, result: ShardResult, fingerprint: str,
+    def _complete(self, result: ShardResult,
+                  checkpoint_dir: "Path | None", fingerprint: str,
                   results: dict[int, ShardResult]) -> None:
         results[result.start] = result
         logger.debug("shard @%d screened: %d gadgets in %.3fs "
@@ -840,7 +768,7 @@ class FuzzingCampaign:
         # Bisected sub-shards (index < 0) stay in memory only: their
         # geometry does not match the plan, so a checkpoint would never
         # load — the parent shard simply re-screens on resume.
-        if self.checkpoint_dir is not None and result.index >= 0:
-            save_shard_checkpoint(self.checkpoint_dir, result, fingerprint)
+        if checkpoint_dir is not None and result.index >= 0:
+            save_shard_checkpoint(checkpoint_dir, result, fingerprint)
         if self.shard_hook is not None:
             self.shard_hook(result)

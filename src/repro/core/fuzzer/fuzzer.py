@@ -7,11 +7,11 @@ reordering), (4) filtering (clustering, best gadget, covering set).
 Per-step wall-clock times are recorded — the paper's Table III shows
 generation + execution dominating, which holds here too.
 
-The pipeline is built from shard-sized pure stages shared with
-:mod:`repro.core.fuzzer.campaign`: :meth:`EventFuzzer.fuzz` screens the
-budget shard by shard in-process, while :class:`FuzzingCampaign` screens
-the same shards across worker processes with checkpoint/resume — both
-produce identical reports for the same seed.
+Screening is built from the shard-sized pure stages of
+:mod:`repro.core.fuzzer.campaign`: :meth:`EventFuzzer.fuzz` is a
+1-worker :class:`FuzzingCampaign`, which screens the same shards across
+worker processes with checkpoint/resume — reports are identical for the
+same seed at any worker count.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ import numpy as np
 
 from repro.core.fuzzer.campaign import (
     DEFAULT_SHARD_SIZE,
+    FuzzingCampaign,
     ShardConfig,
     default_cleanup,
     gadget_stream,
-    merge_screened,
-    plan_shards,
-    screen_shard_traced,
 )
-from repro.core.fuzzer.cleanup import CleanupReport, InstructionCleaner
+from repro.core.fuzzer.cleanup import CleanupReport
 from repro.core.fuzzer.confirm import ConfirmationResult, GadgetConfirmer
 from repro.core.fuzzer.filtering import GadgetFilter, minimal_covering_set
 from repro.core.fuzzer.generator import ExecutionHarness
@@ -41,8 +39,7 @@ from repro.core.fuzzer.grammar import (
     GadgetGrammar,
 )
 from repro.cpu.core import Core
-from repro.isa.catalog import IsaCatalog, shared_catalog
-from repro.isa.legality import MICROARCH_PROFILES, MicroArchProfile
+from repro.isa.legality import MICROARCH_PROFILES
 from repro.telemetry import runtime as telemetry
 from repro.utils.rng import ensure_rng, spawn_rng
 
@@ -112,9 +109,9 @@ class EventFuzzer:
     Parameters
     ----------
     processor_model:
-        Event-catalog / core model to fuzz on.
-    microarch:
-        ISA microarchitecture profile (defaults to the matching one).
+        Event-catalog / core model to fuzz on; it also names the ISA
+        microarchitecture profile whose legal instructions the shared
+        catalog's cleanup yields.
     gadget_budget:
         How many (reset, trigger) pairs to sample — real campaigns test
         all ~11.6M pairs over hours; the budget makes laptop-scale runs
@@ -136,8 +133,6 @@ class EventFuzzer:
     }
 
     def __init__(self, processor_model: str = "amd-epyc-7252",
-                 microarch: MicroArchProfile | None = None,
-                 isa_catalog: IsaCatalog | None = None,
                  gadget_budget: int = 2000, confirm_per_event: int = 8,
                  unroll: int = 16, shard_size: int = DEFAULT_SHARD_SIZE,
                  rng: "int | np.random.Generator | None" = None) -> None:
@@ -148,13 +143,8 @@ class EventFuzzer:
         root = ensure_rng(rng)
         core_rng, grammar_rng, harness_rng, confirm_rng = spawn_rng(root, 4)
         self.processor_model = processor_model
-        self.isa_catalog = (isa_catalog if isa_catalog is not None
-                            else shared_catalog())
-        if microarch is None:
-            name = self._MODEL_TO_MICROARCH.get(processor_model,
-                                                "amd-epyc-7252")
-            microarch = MICROARCH_PROFILES[name]
-        self.microarch = microarch
+        self.microarch = MICROARCH_PROFILES[self._MODEL_TO_MICROARCH.get(
+            processor_model, "amd-epyc-7252")]
         self.gadget_budget = gadget_budget
         self.confirm_per_event = confirm_per_event
         self.shard_size = shard_size
@@ -181,33 +171,14 @@ class EventFuzzer:
 
     # -- shard-sized stages ---------------------------------------------
 
-    def require_shardable(self) -> None:
-        """Raise unless worker processes can rebuild this configuration.
-
-        Parallel campaigns re-derive the catalog + cleanup inside each
-        worker, which requires the shared default catalog and a named
-        microarchitecture profile; bespoke catalogs/profiles still work
-        sequentially.
-        """
-        if self.isa_catalog is not shared_catalog():
-            raise ValueError(
-                "parallel campaigns require the default shared ISA "
-                "catalog; custom catalogs can only run with workers=1")
-        if MICROARCH_PROFILES.get(self.microarch.name) is not self.microarch:
-            raise ValueError(
-                f"parallel campaigns require a named microarch profile, "
-                f"got a custom profile {self.microarch.name!r}")
-
     def run_cleanup(self) -> CleanupReport:
-        """Stage 1 — instruction cleanup, cached per fuzzer."""
+        """Stage 1 — instruction cleanup of the shared catalog.
+
+        The same process-cached report every screening shard samples
+        from, so confirmation replays exactly the screened gadgets.
+        """
         if self._cleanup_report is None:
-            if (self.isa_catalog is shared_catalog()
-                    and MICROARCH_PROFILES.get(self.microarch.name)
-                    is self.microarch):
-                self._cleanup_report = default_cleanup(self.microarch.name)
-            else:
-                cleaner = InstructionCleaner(self.isa_catalog, self.microarch)
-                self._cleanup_report = cleaner.run()
+            self._cleanup_report = default_cleanup(self.microarch.name)
         return self._cleanup_report
 
     def shard_config(self, event_indices: np.ndarray) -> ShardConfig:
@@ -348,34 +319,7 @@ class EventFuzzer:
     def fuzz(self, event_indices: "np.ndarray | list[int]") -> FuzzingReport:
         """Run the four-step campaign for ``event_indices``.
 
-        Screens the budget shard by shard through the same pure stage a
-        parallel :class:`FuzzingCampaign` distributes across processes,
-        so the report is identical to an N-worker campaign with the
-        same seed.
+        A 1-worker :class:`FuzzingCampaign`, so the report is identical
+        to an N-worker campaign with the same seed.
         """
-        event_indices = np.asarray(event_indices, dtype=int)
-        if len(event_indices) == 0:
-            raise ValueError("event_indices must be non-empty")
-        step_seconds: dict[str, float] = {}
-
-        tracer = telemetry.tracer()
-        trace_dir = telemetry.trace_dir()
-        shard_trace_dir = str(trace_dir) if trace_dir is not None else None
-
-        # Step 1: cleanup.
-        start = time.perf_counter()
-        with tracer.span("fuzz.cleanup"):
-            cleanup = self.run_cleanup()
-        step_seconds["cleanup"] = time.perf_counter() - start
-
-        # Step 2: generation + execution (screening over all events).
-        start = time.perf_counter()
-        config = self.shard_config(event_indices)
-        plan = plan_shards(self.gadget_budget, self.shard_size)
-        with tracer.span("fuzz.screening", shards=len(plan), resumed=0):
-            results = [screen_shard_traced(config, shard, shard_trace_dir)
-                       for shard in plan]
-        screened = merge_screened(results)
-        step_seconds["generation_execution"] = time.perf_counter() - start
-
-        return self.finalize(cleanup, screened, event_indices, step_seconds)
+        return FuzzingCampaign(self).run(event_indices)

@@ -245,9 +245,8 @@ class ExecutionHarness:
                         event_indices: np.ndarray) -> MeasuredDelta:
         """Fast-path measurement of an already-built program.
 
-        The screening cache builds (and fingerprints) the program
-        before deciding whether to execute at all; on a miss it hands
-        the same program here so nothing is built twice.
+        One scalar execution with no archetype memo; screening goes
+        through :meth:`screen_measure` instead.
         """
         event_indices = np.asarray(event_indices, dtype=int)
         result = self.core.execute_program(program, update_hpc=False)

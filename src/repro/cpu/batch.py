@@ -4,8 +4,8 @@ The Event Fuzzer evaluates on the order of millions of (gadget, event)
 pairs per campaign, and every one of them used to walk the detailed
 per-instruction interpreter in :mod:`repro.cpu.core`. This module makes
 batched evaluation cheap while staying **bit-identical** to the scalar
-path — the contract the warm-cache replay (PR 3) and chaos-equivalence
-(PR 4) suites depend on. Three mechanisms, all exact:
+path — the contract the engine-independent shard store and the
+chaos-equivalence suites depend on. Three mechanisms, all exact:
 
 - **Signal-response decomposition** (:func:`spec_profile`): every
   instruction variant splits into a *static* signal row (retired

@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.artifacts import DeploymentArtifact
 from repro.core.obfuscator.injector import default_noise_components
 from repro.cpu.events import processor_catalog
+from repro.fleet.statefile import write_text_atomic
 
 _VERSION_RE = re.compile(r"^v(\d{4})\.json$")
 _KEY_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -114,8 +115,10 @@ class ArtifactRegistry:
                 workload: str) -> RegistryEntry:
         """Store ``artifact`` as the next version of its series.
 
-        The write is atomic (temp file + rename) so a crashed publish
-        never leaves a half-written version for loaders to trip on.
+        The write goes through the durable writer
+        (:func:`~repro.fleet.statefile.write_text_atomic`), so a crashed
+        or failed publish never leaves a half-written version or a temp
+        file for loaders to trip on.
         """
         series = self._series_dir(artifact.processor_model, workload)
         series.mkdir(parents=True, exist_ok=True)
@@ -125,10 +128,7 @@ class ArtifactRegistry:
         digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
         payload = json.dumps({"sha256": digest, "artifact": document},
                              indent=2)
-        path = series / f"v{version:04d}.json"
-        tmp = series / f".v{version:04d}.json.tmp"
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, path)
+        path = write_text_atomic(series / f"v{version:04d}.json", payload)
         return RegistryEntry(processor_model=artifact.processor_model,
                              workload=workload, version=version,
                              path=path, digest=digest)

@@ -4,7 +4,7 @@ Layered on the telemetry runtime, three live capabilities:
 
 - :mod:`repro.observability.slo` — sliding-window latency tracking
   with deterministic p50/p95/p99 readouts for the fleet's hot
-  operations (``serve_window``, ``tick``, cache lookups, batch evals);
+  operations (``serve_window``, ``tick``, batch evals);
 - :mod:`repro.observability.signals` + ``detectors`` — per-tenant
   host-read feature extraction and a pluggable detector registry that
   turns SEV-Step single-step cadences, polling bursts, and register

@@ -1,7 +1,7 @@
 """Process-global observability runtime.
 
-Fifth subscriber to the :class:`repro.utils.runtime.ProcessGlobal`
-pattern (after telemetry, cache, resilience, fleet): hot paths ask
+Fourth subscriber to the :class:`repro.utils.runtime.ProcessGlobal`
+pattern (after telemetry, resilience, fleet): hot paths ask
 :func:`active` for the process-global plane and check ``.enabled``
 before paying for a clock read, so the disabled path stays one
 function call and an attribute read — the same contract the <5%

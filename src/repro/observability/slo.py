@@ -2,9 +2,9 @@
 
 ROADMAP item 4 asks for a p50/p99 read-latency objective on the fleet.
 The tracker keeps one fixed-capacity ring buffer per tracked operation
-(``fleet.serve_window``, ``fleet.tick``, ``cache.lookup``,
-``batch.execute``), so the quantile readout always reflects the most
-recent observations rather than the whole run. Every observation is
+(``fleet.serve_window``, ``fleet.tick``, ``batch.execute``), so the
+quantile readout always reflects the most recent observations rather
+than the whole run. Every observation is
 also mirrored into the telemetry metrics registry as a
 latency-preset histogram (``slo.<name>.seconds``), which is what
 survives the cross-process merge — the ring buffer gives exact

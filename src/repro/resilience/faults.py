@@ -12,8 +12,8 @@ The instrumented fault points:
 
 ========================  ==================================================
 ``campaign.shard``        a shard screening task (worker side)
-``cache.store.read``      a measurement-cache disk object read
-``checkpoint.write``      a shard checkpoint write (torn-write simulation)
+``checkpoint.write``      a shard checkpoint write (torn-write simulation;
+                          also the shard store behind ``cache_dir``)
 ``daemon.noise_refill``   the obfuscator daemon's noise-buffer refill
 ``fleet.admit``           the fleet admission controller's decision path
 ``fleet.policy``          the adaptive defense engine's per-tenant
@@ -56,10 +56,9 @@ from pathlib import Path
 from repro.telemetry import runtime as telemetry
 
 #: Every site instrumented with :func:`repro.resilience.runtime.check`.
-FAULT_POINTS = ("campaign.shard", "cache.store.read", "checkpoint.write",
-                "daemon.noise_refill", "fleet.admit", "fleet.policy",
-                "fleet.provision", "fleet.shard", "kernel_module.read",
-                "search.corpus.write")
+FAULT_POINTS = ("campaign.shard", "checkpoint.write", "daemon.noise_refill",
+                "fleet.admit", "fleet.policy", "fleet.provision",
+                "fleet.shard", "kernel_module.read", "search.corpus.write")
 
 #: Supported failure modes.
 FAULT_MODES = ("raise", "hang", "corrupt", "kill")
@@ -97,7 +96,7 @@ def corrupt_text(text: str, seed: int = 0, key: int = 0) -> str:
 
     Keeps a seed-dependent prefix and appends a NUL byte, so the result
     is never valid JSON: readers detect the damage and fall back
-    (cache miss, checkpoint rollback) instead of parsing garbage.
+    (checkpoint rollback, corpus miss) instead of parsing garbage.
     """
     if not text:
         return "\x00"
@@ -242,9 +241,9 @@ class FaultInjector:
     """The armed runtime that fault points consult.
 
     Tracks per-``(point, key)`` hit counts so sites without a natural
-    retry counter (cache reads, checkpoint writes, refills) get an
-    implicit ``attempt`` — their first ``times`` hits fault, later hits
-    pass — while sites with an explicit supervisor-managed attempt
+    retry counter (checkpoint writes, refills) get an implicit
+    ``attempt`` — their first ``times`` hits fault, later hits pass —
+    while sites with an explicit supervisor-managed attempt
     (shard screening) stay deterministic across process boundaries.
 
     ``attempt_bias`` shifts every *implicit* attempt: a replacement

@@ -1,12 +1,12 @@
 """Process-global fault-injection runtime.
 
-Mirrors :mod:`repro.telemetry.runtime` and :mod:`repro.cache.runtime`:
+Mirrors :mod:`repro.telemetry.runtime`:
 instrumented sites never own an injector, they call :func:`check` and
 get the process-global one. Until :func:`arm` installs a plan the
 shared no-op injector answers, so every fault point costs one function
 call and an attribute read in production. The slot is a
 :class:`repro.utils.runtime.ProcessGlobal`, the helper all four
-runtime modules (telemetry, cache, resilience, fleet) share.
+runtime modules (telemetry, resilience, fleet, observability) share.
 
 Campaign worker processes arm their own injector (the supervisor ships
 the :class:`~repro.resilience.faults.FaultPlan` with each shard task)

@@ -2,14 +2,14 @@
 
 Each corpus entry is one minimized gadget plus the coverage signature
 that earned its admission.  Entries are content-addressed by a
-``cache/fingerprint``-style digest over the gadget's instruction-variant
-names (unique per :class:`~repro.isa.spec.InstructionSpec`), written
-atomically via ``fleet/statefile.write_json_atomic`` so a crashed
-campaign never leaves a torn entry, and re-loaded on resume.  Damaged
-or unparseable entries are treated as misses — counted, skipped, never
-fatal — matching the measurement cache's corrupt-object policy.  The
-``search.corpus.write`` fault point covers the write path for chaos
-runs.
+:func:`~repro.utils.digest.config_digest` over the gadget's
+instruction-variant names (unique per
+:class:`~repro.isa.spec.InstructionSpec`), written atomically via
+``fleet/statefile.write_json_atomic`` so a crashed campaign never
+leaves a torn entry, and re-loaded on resume.  Damaged or unparseable
+entries are treated as misses — counted, skipped, never fatal — the
+same policy as damaged shard checkpoints.  The ``search.corpus.write``
+fault point covers the write path for chaos runs.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.cache.fingerprint import config_digest
 from repro.core.fuzzer.grammar import Gadget
 from repro.fleet.statefile import read_json, write_json_atomic
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import InjectedFault, corrupt_text, stable_key
 from repro.telemetry import runtime as telemetry
+from repro.utils.digest import config_digest
 
 CORPUS_ENTRY_VERSION = 1
 

@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cache.fingerprint import config_digest
 from repro.core.fuzzer.campaign import default_cleanup, gadget_stream
 from repro.core.fuzzer.generator import ExecutionHarness
 from repro.core.fuzzer.grammar import Gadget, GadgetGrammar
@@ -44,6 +43,7 @@ from repro.search.coverage import CoverageExtractor, CoverageMap
 from repro.search.mutators import GadgetMutator
 from repro.search.scheduler import FrontierScheduler
 from repro.telemetry import runtime as telemetry
+from repro.utils.digest import config_digest
 from repro.utils.rng import derive_stream
 
 logger = logging.getLogger(__name__)

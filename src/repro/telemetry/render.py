@@ -45,25 +45,9 @@ def render_run(run: RunTelemetry) -> str:
         lines.append("")
 
     counters = run.metrics.get("counters", {})
-    hits = counters.get("cache.hits", 0)
-    misses = counters.get("cache.misses", 0)
-    lookups = hits + misses
-    if lookups:
-        lines.append("## Measurement cache")
-        lines.append(f"{hits:,.0f}/{lookups:,.0f} lookups hit "
-                     f"({hits / lookups:.1%}); "
-                     f"{counters.get('cache.bytes', 0):,.0f} bytes "
-                     f"written to the disk tier")
-        executions = counters.get("fuzz.executions")
-        if executions is not None:
-            lines.append(f"screening executions actually run: "
-                         f"{executions:,.0f}")
-        lines.append("")
-
     faults = {name: value for name, value in counters.items()
               if name.startswith(("fault.", "retry.", "checkpoint.",
-                                  "daemon.", "kernel.restarts",
-                                  "cache.tmp_swept"))}
+                                  "daemon.", "kernel.restarts"))}
     stalled = counters.get("privacy.stalled_slices", 0)
     if faults or stalled:
         lines.append("## Resilience")
@@ -101,9 +85,6 @@ def render_run(run: RunTelemetry) -> str:
         if any(restarts):
             lines.append(f"restarts: daemon {restarts[0]:,.0f}, "
                          f"kernel module {restarts[1]:,.0f}")
-        swept = faults.get("cache.tmp_swept", 0)
-        if swept:
-            lines.append(f"{swept:,.0f} stale cache temp files swept")
         lines.append("")
 
     slo = {name: payload

@@ -13,7 +13,7 @@ spans and metrics land in shard-owned files that the parent merges
 deterministically (:mod:`repro.telemetry.aggregate`), then the previous
 runtime — the parent's, under fork — is restored. The global slot is a
 :class:`repro.utils.runtime.ProcessGlobal`, the helper all four
-runtime modules (telemetry, cache, resilience, fleet) share.
+runtime modules (telemetry, resilience, fleet, observability) share.
 """
 
 from __future__ import annotations

@@ -66,7 +66,6 @@ def make_fuzzer(shared_isa):
     sharding while staying fast; any default can be overridden.
     """
     def factory(**kwargs):
-        kwargs.setdefault("isa_catalog", shared_isa)
         kwargs.setdefault("gadget_budget", 160)
         kwargs.setdefault("shard_size", 40)
         kwargs.setdefault("confirm_per_event", 4)

@@ -259,16 +259,16 @@ class TestCampaignDigests:
 
     def test_warm_cache_replay_across_engines(self, make_fuzzer,
                                               fuzz_events, tmp_path):
-        """A measurement cache written by the vectorized engine replays
-        bit-for-bit under the scalar engine (PR 3's invariant): the
-        fingerprint keys and cached deltas are engine-independent."""
+        """A shard store written under the scalar engine serves the
+        vectorized one bit for bit: the fingerprint and the stored
+        deltas are engine-independent."""
         events = np.array(fuzz_events)
-        cache_dir = tmp_path / "cache"
-        warm = FuzzingCampaign(make_fuzzer(), cache_dir=cache_dir)
-        baseline = self._report_key(warm.run(events))
         with force_scalar():
-            replay = FuzzingCampaign(make_fuzzer(), cache_dir=cache_dir)
-            assert self._report_key(replay.run(events)) == baseline
+            filled = FuzzingCampaign(make_fuzzer(), cache_dir=tmp_path)
+            baseline = self._report_key(filled.run(events))
+        replay = FuzzingCampaign(make_fuzzer(), cache_dir=tmp_path)
+        assert self._report_key(replay.run(events)) == baseline
+        assert replay.stats.screened_shards == 0
 
 
 class TestBatchApi:

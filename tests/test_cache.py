@@ -1,276 +1,246 @@
-"""Tests for the content-addressed measurement cache.
+"""Tests for ``cache_dir``: the shard store that reuses whole shards.
 
-Covers the three layers separately — fingerprints, LRU tier, disk
-store — then the facade's hit/miss accounting and telemetry mirroring,
-and finally the campaign-level guarantees the cache is sold on: a warm
-re-run produces a bit-identical report with zero gadget executions,
-configuration changes invalidate cleanly, threshold changes do not,
-and the disk tier is shared across cache sessions (and therefore
-across shard worker processes).
+``FuzzingCampaign(cache_dir=D)`` behaves as ``checkpoint_dir=
+D/<fingerprint>, resume=True``; the fingerprint covers the screening
+configuration and shard size but not the budget. Covers the store's
+keys and file format first, then the campaign-level guarantees: a warm
+re-run screens nothing and reports bit-identically at 1 and 2 workers,
+a configuration change misses, a doubled budget reuses every full
+shard, and ``cache.hits``/``cache.misses`` count gadgets.
 """
 
 import dataclasses
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.cache import runtime as cache_runtime
-from repro.cache.cache import (
-    CachedMeasurement,
-    MeasurementCache,
-    NoopMeasurementCache,
+from repro.core.fuzzer import CampaignError, EventFuzzer, FuzzingCampaign
+from repro.core.fuzzer.campaign import (
+    CHECKPOINT_VERSION,
+    ShardResult,
+    ShardSpec,
+    config_fingerprint,
+    load_shard_checkpoint,
+    plan_shards,
+    save_shard_checkpoint,
+    screen_shard,
+    shard_checkpoint_path,
 )
-from repro.cache.fingerprint import (
-    measurement_key,
-    program_bytes,
-    screening_config_digest,
-)
-from repro.cache.lru import LruCache
-from repro.cache.store import STORE_VERSION, DiskStore
-from repro.core.fuzzer.campaign import plan_shards, screen_shard
-from repro.core.fuzzer.generator import ExecutionHarness, MeasuredDelta
-from repro.cpu.core import Core
 from repro.telemetry import runtime as telemetry
 from tests.test_campaign import report_key
 
-
-@pytest.fixture()
-def harness():
-    return ExecutionHarness(Core("amd-epyc-7252", rng=0), unroll=4, rng=0)
+BUDGET = 80
+SHARD = 20
+#: The geometry of the hand-built shard results in the store tests.
+SPEC = ShardSpec(index=0, start=0, count=4)
 
 
 @pytest.fixture(scope="module")
 def shard_setup(make_fuzzer, fuzz_events):
-    """A small fuzzer plus its plain-type screening config and shards."""
-    fuzzer = make_fuzzer(gadget_budget=40, shard_size=20)
+    """A small fuzzer's plain-type screening config and its shards."""
+    fuzzer = make_fuzzer(gadget_budget=40, shard_size=SHARD)
     events = np.array(fuzz_events)
     config = fuzzer.shard_config(events)
-    return config, plan_shards(40, 20)
+    return config, plan_shards(40, SHARD)
+
+
+@pytest.fixture(scope="module")
+def events(fuzz_events):
+    return np.array(fuzz_events)
+
+
+@pytest.fixture(scope="module")
+def uncached(make_fuzzer, events):
+    return make_fuzzer(gadget_budget=BUDGET, shard_size=SHARD).fuzz(events)
+
+
+def run(make_fuzzer, events, cache_dir, workers=1, budget=BUDGET):
+    """One campaign against ``cache_dir``; returns (campaign, report,
+    counters)."""
+    campaign = FuzzingCampaign(
+        make_fuzzer(gadget_budget=budget, shard_size=SHARD),
+        workers=workers, cache_dir=cache_dir)
+    with telemetry.session() as runtime:
+        report = campaign.run(events)
+        counters = runtime.metrics.snapshot()["counters"]
+    return campaign, report, counters
+
+
+def fill(cache_dir, events):
+    """One campaign in a worker process (``make_fuzzer``'s defaults)."""
+    fuzzer = EventFuzzer(gadget_budget=BUDGET, shard_size=SHARD,
+                         confirm_per_event=4, rng=11)
+    return report_key(
+        FuzzingCampaign(fuzzer, cache_dir=cache_dir).run(events))
 
 
 class TestFingerprint:
-    def test_program_bytes_deterministic(self, harness, shared_isa):
-        body = [shared_isa.get("CPUID")]
-        one = program_bytes(harness.build_program(body, repeats=2))
-        two = program_bytes(harness.build_program(body, repeats=2))
-        assert one == two
-
-    def test_program_bytes_distinguish_repeats(self, harness, shared_isa):
-        body = [shared_isa.get("CPUID")]
-        assert program_bytes(harness.build_program(body, repeats=1)) \
-            != program_bytes(harness.build_program(body, repeats=2))
-
-    def test_measurement_key_components(self):
-        base = measurement_key(b"prog", "cfg", (7, 3), 16)
-        assert base == measurement_key(b"prog", "cfg", (7, 3), 16)
-        assert base != measurement_key(b"prog2", "cfg", (7, 3), 16)
-        assert base != measurement_key(b"prog", "cfg2", (7, 3), 16)
-        assert base != measurement_key(b"prog", "cfg", (7, 4), 16)
-        assert base != measurement_key(b"prog", "cfg", (7, 3), 8)
-
-    def test_config_digest_ignores_thresholds(self, shard_setup):
-        config, _ = shard_setup
-        relaxed = dataclasses.replace(
-            config, thresholds=tuple(t / 2 for t in config.thresholds))
-        assert screening_config_digest(relaxed) \
-            == screening_config_digest(config)
-
     def test_config_digest_tracks_measurement_config(self, shard_setup):
         config, _ = shard_setup
-        digest = screening_config_digest(config)
+        fingerprint = config_fingerprint(config, SHARD)
+        assert config_fingerprint(dataclasses.replace(config), SHARD) \
+            == fingerprint
+        assert config_fingerprint(config, SHARD + 1) != fingerprint
         for change in ({"unroll": config.unroll + 1},
                        {"processor_model": "intel-xeon-e5-1650"},
-                       {"event_indices": config.event_indices[:-1]}):
+                       {"event_indices": config.event_indices[:-1]},
+                       {"entropy": config.entropy + 1}):
             changed = dataclasses.replace(config, **change)
-            assert screening_config_digest(changed) != digest
+            assert config_fingerprint(changed, SHARD) != fingerprint
 
-
-class TestLruCache:
-    def test_put_get_and_eviction_order(self):
-        lru = LruCache(max_entries=2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        assert lru.get("a") == 1  # promotes "a" over "b"
-        lru.put("c", 3)
-        assert "b" not in lru
-        assert lru.get("a") == 1 and lru.get("c") == 3
-        assert lru.evictions == 1
-
-    def test_clear(self):
-        lru = LruCache(max_entries=4)
-        lru.put("a", 1)
-        lru.clear()
-        assert len(lru) == 0 and lru.get("a") is None
+    def test_measurement_key_components(self, shard_setup, tmp_path):
+        """A stored shard serves only its (fingerprint, start, count)."""
+        config, shards = shard_setup
+        shard = shards[0]
+        fingerprint = config_fingerprint(config, SHARD)
+        save_shard_checkpoint(tmp_path, screen_shard(config, shard),
+                              fingerprint)
+        assert load_shard_checkpoint(tmp_path, shard, fingerprint)
+        assert load_shard_checkpoint(tmp_path, shard, "f" * 16) is None
+        for other in (dataclasses.replace(shard, start=shard.start + 1),
+                      dataclasses.replace(shard, count=shard.count - 1)):
+            assert load_shard_checkpoint(tmp_path, other,
+                                         fingerprint) is None
 
 
 class TestDiskStore:
-    KEY = "ab" + "0" * 62
+    def result(self):
+        return ShardResult(index=0, start=0, count=4,
+                           screened={7: [(0, 1.5), (3, 2.0)]},
+                           executions=4, elapsed_seconds=0.1,
+                           cpu_seconds=0.1)
 
     def test_roundtrip(self, tmp_path):
-        store = DiskStore(tmp_path)
-        written = store.put(self.KEY, {"deltas": [1.5], "cycles": 3})
-        assert written > 0
-        loaded = store.get(self.KEY)
-        assert loaded["deltas"] == [1.5] and loaded["cycles"] == 3
-        assert loaded["version"] == STORE_VERSION
-        assert loaded["key"] == self.KEY
-        assert len(store) == 1
-        assert not list(tmp_path.rglob("*.tmp"))
+        path = save_shard_checkpoint(tmp_path, self.result(), "fp")
+        assert path == shard_checkpoint_path(tmp_path, 0)
+        loaded = load_shard_checkpoint(tmp_path, SPEC, "fp")
+        assert loaded == self.result()
+        assert json.loads(path.read_text())["version"] \
+            == CHECKPOINT_VERSION
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["shard-00000.json"]
 
     def test_missing_key(self, tmp_path):
-        assert DiskStore(tmp_path).get(self.KEY) is None
+        assert load_shard_checkpoint(tmp_path, SPEC, "fp") is None
 
     def test_corrupt_file(self, tmp_path):
-        store = DiskStore(tmp_path)
-        store.put(self.KEY, {"cycles": 1})
-        store.path_for(self.KEY).write_text("{not json",
-                                            encoding="utf-8")
-        assert store.get(self.KEY) is None
+        path = save_shard_checkpoint(tmp_path, self.result(), "fp")
+        path.write_text("{not json", encoding="utf-8")
+        assert load_shard_checkpoint(tmp_path, SPEC, "fp") is None
 
     def test_version_and_key_mismatch(self, tmp_path):
-        store = DiskStore(tmp_path)
-        store.put(self.KEY, {"cycles": 1})
-        path = store.path_for(self.KEY)
+        path = save_shard_checkpoint(tmp_path, self.result(), "fp")
         stale = json.loads(path.read_text(encoding="utf-8"))
-        stale["version"] = STORE_VERSION + 1
+        stale["version"] = CHECKPOINT_VERSION - 1
         path.write_text(json.dumps(stale), encoding="utf-8")
-        assert store.get(self.KEY) is None
-        stale["version"] = STORE_VERSION
-        stale["key"] = "f" * 64
+        assert load_shard_checkpoint(tmp_path, SPEC, "fp") is None
+        stale["version"] = CHECKPOINT_VERSION
         path.write_text(json.dumps(stale), encoding="utf-8")
-        assert store.get(self.KEY) is None
-
-
-def _measurement(value=2.5):
-    return CachedMeasurement.from_measured(MeasuredDelta(
-        deltas=np.array([value]), signals=np.array([1.0, 0.5]), cycles=7))
-
-
-class TestMeasurementCache:
-    def test_tier_accounting(self, tmp_path):
-        cache = MeasurementCache(cache_dir=tmp_path)
-        key = "cd" + "1" * 62
-        assert cache.get(key) is None
-        cache.put(key, _measurement())
-        assert cache.get(key).deltas == (2.5,)
-        cache.clear_memory()
-        disk_hit = cache.get(key)
-        assert disk_hit.deltas == (2.5,)
-        assert cache.get(key) is not None  # promoted back into the LRU
-        stats = cache.stats
-        assert (stats.hits, stats.misses) == (3, 1)
-        assert (stats.memory_hits, stats.disk_hits) == (2, 1)
-        assert stats.stored == 1 and stats.bytes_written > 0
-        assert stats.hit_rate == 0.75
+        assert load_shard_checkpoint(tmp_path, SPEC, "fp")
+        assert load_shard_checkpoint(tmp_path, SPEC, "other") is None
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        cache = MeasurementCache(cache_dir=tmp_path)
-        key = "ef" + "2" * 62
-        original = CachedMeasurement.from_measured(MeasuredDelta(
-            deltas=np.array([1.0 / 3.0, 1e-17]),
-            signals=np.array([np.pi]), cycles=11))
-        cache.put(key, original)
-        cache.clear_memory()
-        assert cache.get(key) == original
-
-    def test_telemetry_counters(self, tmp_path):
-        with telemetry.session() as runtime:
-            cache = MeasurementCache(cache_dir=tmp_path)
-            key = "aa" + "3" * 62
-            cache.get(key)
-            cache.put(key, _measurement())
-            cache.get(key)
-            counters = runtime.metrics.snapshot()["counters"]
-        assert counters["cache.misses"] == 1
-        assert counters["cache.hits"] == 1
-        assert counters["cache.bytes"] == cache.stats.bytes_written
-
-    def test_noop_cache(self):
-        cache = NoopMeasurementCache()
-        cache.put("k", _measurement())
-        assert cache.get("k") is None
-        assert not cache.enabled and cache.stats.lookups == 0
-
-
-class TestRuntime:
-    def test_session_installs_and_restores(self, tmp_path):
-        assert not cache_runtime.enabled()
-        with cache_runtime.session(cache_dir=tmp_path) as cache:
-            assert cache_runtime.enabled()
-            assert cache_runtime.active() is cache
-            assert cache.cache_dir == tmp_path
-        assert not cache_runtime.enabled()
-
-    def test_sessions_nest(self):
-        with cache_runtime.session() as outer:
-            with cache_runtime.session() as inner:
-                assert cache_runtime.active() is inner
-            assert cache_runtime.active() is outer
+        awkward = {5: [(1, 1.0 / 3.0), (2, 1e-17), (3, np.pi * 1e12)]}
+        result = ShardResult(index=0, start=0, count=4, screened=awkward)
+        save_shard_checkpoint(tmp_path, result, "fp")
+        loaded = load_shard_checkpoint(tmp_path, SPEC, "fp")
+        assert loaded.screened == awkward
 
 
 class TestCampaignCaching:
     def test_warm_rerun_is_bit_identical_with_zero_executions(
-            self, make_fuzzer, fuzz_events, tmp_path):
-        events = np.array(fuzz_events)
-        budget = 80
+            self, make_fuzzer, events, uncached, tmp_path):
+        for workers in (1, 2):
+            store = tmp_path / f"workers-{workers}"
+            cold, cold_report, _ = run(make_fuzzer, events, store, workers)
+            assert cold.stats.screened_shards == BUDGET // SHARD
+            warm, warm_report, counters = run(make_fuzzer, events, store,
+                                              workers)
+            assert warm.stats.screened_shards == 0
+            assert warm.stats.resumed_shards == BUDGET // SHARD
+            assert counters.get("fuzz.executions", 0) == 0
+            assert report_key(warm_report) == report_key(cold_report) \
+                == report_key(uncached)
 
-        def run():
-            fuzzer = make_fuzzer(gadget_budget=budget, shard_size=20)
-            with telemetry.session() as runtime:
-                report = fuzzer.fuzz(events)
-                counters = runtime.metrics.snapshot()["counters"]
-            return report, counters
+    def test_cached_report_matches_uncached(self, make_fuzzer, events,
+                                            uncached, tmp_path):
+        _, report, _ = run(make_fuzzer, events, tmp_path)
+        assert report_key(report) == report_key(uncached)
 
-        with cache_runtime.session(cache_dir=tmp_path) as cold_cache:
-            cold_report, _ = run()
-            assert cold_cache.stats.misses == budget
-            assert cold_cache.stats.hits == 0
-        with cache_runtime.session(cache_dir=tmp_path) as warm_cache:
-            warm_report, warm_counters = run()
-            assert warm_cache.stats.hits == budget
-            assert warm_cache.stats.misses == 0
-        assert warm_counters["fuzz.executions"] == 0
-        assert report_key(warm_report) == report_key(cold_report)
+    def test_config_change_invalidates(self, make_fuzzer, events,
+                                       tmp_path):
+        run(make_fuzzer, events, tmp_path)
+        retuned = FuzzingCampaign(
+            make_fuzzer(gadget_budget=BUDGET, shard_size=SHARD, unroll=8),
+            cache_dir=tmp_path)
+        retuned.run(events)
+        assert retuned.stats.resumed_shards == 0
+        assert len(list(tmp_path.iterdir())) == 2  # one store per config
 
-    def test_cached_report_matches_uncached(self, make_fuzzer,
-                                            fuzz_events):
-        events = np.array(fuzz_events)
-        plain = make_fuzzer(gadget_budget=80, shard_size=20).fuzz(events)
-        with cache_runtime.session():
-            cached = make_fuzzer(gadget_budget=80,
-                                 shard_size=20).fuzz(events)
-        assert report_key(cached) == report_key(plain)
-
-    def test_config_change_invalidates(self, shard_setup, tmp_path):
-        config, shards = shard_setup
-        with cache_runtime.session(cache_dir=tmp_path) as cache:
-            screen_shard(config, shards[0])
-            assert cache.stats.misses == shards[0].count
-            retuned = dataclasses.replace(config,
-                                          unroll=config.unroll + 1)
-            screen_shard(retuned, shards[0])
-            assert cache.stats.hits == 0
-            assert cache.stats.misses == 2 * shards[0].count
-
-    def test_threshold_change_keeps_hitting(self, shard_setup, tmp_path):
-        config, shards = shard_setup
-        with cache_runtime.session(cache_dir=tmp_path) as cache:
-            screen_shard(config, shards[0])
-            relaxed = dataclasses.replace(
-                config, thresholds=tuple(t / 2 for t in config.thresholds))
-            screen_shard(relaxed, shards[0])
-            assert cache.stats.hits == shards[0].count
-
-    def test_disk_tier_shared_across_sessions(self, shard_setup,
+    def test_disk_tier_shared_across_sessions(self, make_fuzzer, events,
                                               tmp_path):
-        """What lets shard workers warm each other across processes."""
-        config, shards = shard_setup
-        with cache_runtime.session(cache_dir=tmp_path):
-            first = screen_shard(config, shards[0])
-        with cache_runtime.session(cache_dir=tmp_path) as fresh:
-            second = screen_shard(config, shards[0])
-            assert fresh.stats.disk_hits == shards[0].count
-            assert fresh.stats.misses == 0
-        assert second.screened == first.screened
-        assert second.executions == 0 < first.executions
+        """A store filled by pool workers serves an in-process run."""
+        _, pooled, _ = run(make_fuzzer, events, tmp_path, workers=2)
+        inline, report, counters = run(make_fuzzer, events, tmp_path)
+        assert inline.stats.screened_shards == 0
+        assert counters.get("fuzz.executions", 0) == 0
+        assert report_key(report) == report_key(pooled)
+
+    def test_concurrent_campaigns_share_one_store(self, make_fuzzer,
+                                                  events, uncached,
+                                                  tmp_path):
+        """Four processes race to fill one store on every shard file."""
+        with ProcessPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fill, tmp_path, events)
+                       for _ in range(4)]
+            keys = [future.result(timeout=120) for future in futures]
+        assert all(key == report_key(uncached) for key in keys)
+        warm, report, _ = run(make_fuzzer, events, tmp_path)
+        assert warm.stats.screened_shards == 0
+        assert report_key(report) == report_key(uncached)
+
+    def test_doubled_budget_reuses_every_full_shard(self, make_fuzzer,
+                                                    events, tmp_path):
+        run(make_fuzzer, events, tmp_path, budget=70)  # 3.5 shards
+        larger, report, counters = run(make_fuzzer, events, tmp_path,
+                                       budget=140)
+        # The three full shards are reused; the half shard at 60 is not.
+        assert larger.stats.resumed_shards == 3
+        assert larger.stats.screened_shards == 4
+        assert (counters["cache.hits"], counters["cache.misses"]) \
+            == (60, 80)
+        uncached = make_fuzzer(gadget_budget=140,
+                               shard_size=SHARD).fuzz(events)
+        assert report_key(report) == report_key(uncached)
+
+    def test_shard_size_change_misses(self, make_fuzzer, events, tmp_path):
+        run(make_fuzzer, events, tmp_path)
+        resized = FuzzingCampaign(
+            make_fuzzer(gadget_budget=BUDGET, shard_size=SHARD // 2),
+            cache_dir=tmp_path)
+        resized.run(events)
+        assert resized.stats.resumed_shards == 0
+
+    def test_conflicting_options_rejected(self, make_fuzzer, tmp_path):
+        with pytest.raises(CampaignError, match="checkpoint_dir"):
+            FuzzingCampaign(make_fuzzer(), cache_dir=tmp_path,
+                            checkpoint_dir=tmp_path)
+        with pytest.raises(CampaignError, match="grammar"):
+            FuzzingCampaign(make_fuzzer(), cache_dir=tmp_path,
+                            strategy="coverage")
+
+    def test_hits_and_misses_count_gadgets(self, make_fuzzer, events,
+                                           tmp_path):
+        _, _, cold = run(make_fuzzer, events, tmp_path)
+        _, _, warm = run(make_fuzzer, events, tmp_path)
+        assert (cold["cache.hits"], cold["cache.misses"]) == (0, BUDGET)
+        assert (warm["cache.hits"], warm["cache.misses"]) == (BUDGET, 0)
+
+    def test_uncached_campaign_counts_nothing(self, make_fuzzer, events):
+        """Without ``cache_dir`` no ``cache.*`` counter is recorded."""
+        with telemetry.session() as runtime:
+            make_fuzzer(gadget_budget=BUDGET, shard_size=SHARD).fuzz(events)
+            counters = runtime.metrics.snapshot()["counters"]
+        assert not any(name.startswith("cache.") for name in counters)

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.fuzzer import (
     CampaignError,
-    EventFuzzer,
     FuzzingCampaign,
     load_shard_checkpoint,
     merge_screened,
@@ -26,7 +25,6 @@ from repro.core.fuzzer.campaign import (
     config_fingerprint,
     shard_checkpoint_path,
 )
-from repro.isa.catalog import build_catalog
 
 
 def report_key(report):
@@ -120,8 +118,7 @@ class TestCheckpoints:
         config = fuzzer.shard_config(events)
         plan = plan_shards(fuzzer.gadget_budget, fuzzer.shard_size)
         result = screen_shard(config, plan[0])
-        good = config_fingerprint(config, fuzzer.gadget_budget,
-                                  fuzzer.shard_size)
+        good = config_fingerprint(config, fuzzer.shard_size)
         save_shard_checkpoint(tmp_path, result, good)
         assert load_shard_checkpoint(tmp_path, plan[0], good) is not None
         assert load_shard_checkpoint(tmp_path, plan[0], "deadbeef") is None
@@ -131,8 +128,7 @@ class TestCheckpoints:
         fuzzer.run_cleanup()
         config = fuzzer.shard_config(events)
         plan = plan_shards(fuzzer.gadget_budget, fuzzer.shard_size)
-        fingerprint = config_fingerprint(config, fuzzer.gadget_budget,
-                                         fuzzer.shard_size)
+        fingerprint = config_fingerprint(config, fuzzer.shard_size)
         save_shard_checkpoint(tmp_path, screen_shard(config, plan[0]),
                               fingerprint)
         other = ShardSpec(index=0, start=0, count=plan[0].count + 1)
@@ -186,18 +182,3 @@ class TestValidation:
     def test_empty_events_rejected(self, make_fuzzer):
         with pytest.raises(ValueError):
             FuzzingCampaign(make_fuzzer()).run(np.array([], dtype=int))
-
-    def test_custom_catalog_blocks_parallel(self, events):
-        """Bespoke catalogs cannot be rebuilt in workers: refuse early."""
-        fuzzer = EventFuzzer(isa_catalog=build_catalog(), gadget_budget=8,
-                             rng=3)
-        with pytest.raises(ValueError, match="shared ISA catalog"):
-            fuzzer.require_shardable()
-        with pytest.raises(ValueError, match="shared ISA catalog"):
-            FuzzingCampaign(fuzzer, workers=2).run(events)
-
-    def test_custom_catalog_still_runs_sequentially(self, events):
-        fuzzer = EventFuzzer(isa_catalog=build_catalog(), gadget_budget=8,
-                             rng=3)
-        report = FuzzingCampaign(fuzzer, workers=1).run(events)
-        assert report.gadgets_tested == 8

@@ -84,28 +84,32 @@ class TestChaosEquivalence:
 
     def test_corrupt_cache_objects_read_as_misses(self, make_fuzzer, events,
                                                   baseline, tmp_path):
-        cache_dir = tmp_path / "cache"
-        warm = FuzzingCampaign(make_fuzzer(), cache_dir=cache_dir)
-        assert report_key(warm.run(events)) == report_key(baseline)
-        plan = chaos_plan(FaultSpec(point="cache.store.read",
+        """Shards the filling pass stored torn read as misses: the next
+        pass re-screens exactly those and matches the baseline."""
+        plan = chaos_plan(FaultSpec(point="checkpoint.write",
                                     mode="corrupt", probability=0.6,
                                     times=1))
-        chaos = FuzzingCampaign(make_fuzzer(), cache_dir=cache_dir,
-                                fault_plan=plan,
-                                supervisor_policy=FAST_POLICY)
-        assert report_key(chaos.run(events)) == report_key(baseline)
-        assert chaos.stats.quarantined == []
+        fill = FuzzingCampaign(make_fuzzer(), cache_dir=tmp_path,
+                               fault_plan=plan,
+                               supervisor_policy=FAST_POLICY)
+        assert report_key(fill.run(events)) == report_key(baseline)
+        rescreened = []
+        warm = FuzzingCampaign(
+            make_fuzzer(), cache_dir=tmp_path,
+            shard_hook=lambda result: rescreened.append(result.index))
+        assert report_key(warm.run(events)) == report_key(baseline)
+        assert sorted(rescreened) == [
+            index for index in range(len(SHARD_STARTS))
+            if plan.decide("checkpoint.write", key=index) is not None]
 
     def test_layered_chaos_with_crash_and_resume(self, make_fuzzer, events,
                                                  baseline, tmp_path):
-        """ISSUE acceptance: transient shard faults + corrupted cache
-        objects + a corrupted checkpoint + a mid-run crash, resumed to
-        a report bit-identical to the fault-free baseline."""
+        """Transient shard faults + a corrupted checkpoint + a mid-run
+        crash, resumed to a report bit-identical to the fault-free
+        baseline."""
         plan = chaos_plan(
             FaultSpec(point="campaign.shard", mode="raise",
                       probability=0.5, times=1),
-            FaultSpec(point="cache.store.read", mode="corrupt",
-                      probability=0.6, times=1),
             FaultSpec(point="checkpoint.write", mode="corrupt", times=1,
                       match=(1,)))
 
@@ -121,7 +125,6 @@ class TestChaosEquivalence:
 
         interrupted = FuzzingCampaign(make_fuzzer(),
                                       checkpoint_dir=tmp_path,
-                                      cache_dir=tmp_path / "cache",
                                       fault_plan=plan,
                                       supervisor_policy=FAST_POLICY,
                                       shard_hook=crash_after_two)
@@ -129,7 +132,6 @@ class TestChaosEquivalence:
             interrupted.run(events)
 
         resumed = FuzzingCampaign(make_fuzzer(), checkpoint_dir=tmp_path,
-                                  cache_dir=tmp_path / "cache",
                                   fault_plan=plan,
                                   supervisor_policy=FAST_POLICY,
                                   resume=True)
@@ -163,22 +165,22 @@ class TestVectorizedEngineChaos:
     def test_faults_on_batched_engine_match_baseline(self, make_fuzzer,
                                                      events, baseline,
                                                      tmp_path):
-        """Transient shard raises + corrupted cache objects on the
+        """Transient shard raises + torn shard-store writes on the
         vectorized path: retries re-enter the batch engine (memo warm
-        or cold) and must converge to the fault-free report."""
+        or cold), and the pass that re-screens the torn shards must
+        converge to the fault-free report too."""
         plan = chaos_plan(
             FaultSpec(point="campaign.shard", mode="raise",
                       probability=0.5, times=1),
-            FaultSpec(point="cache.store.read", mode="corrupt",
+            FaultSpec(point="checkpoint.write", mode="corrupt",
                       probability=0.6, times=1))
-        cache_dir = tmp_path / "cache"
-        warm = FuzzingCampaign(make_fuzzer(), cache_dir=cache_dir)
-        assert report_key(warm.run(events)) == report_key(baseline)
-        chaos = FuzzingCampaign(make_fuzzer(), cache_dir=cache_dir,
+        chaos = FuzzingCampaign(make_fuzzer(), cache_dir=tmp_path,
                                 fault_plan=plan,
                                 supervisor_policy=FAST_POLICY)
         assert report_key(chaos.run(events)) == report_key(baseline)
         assert chaos.stats.quarantined == []
+        warm = FuzzingCampaign(make_fuzzer(), cache_dir=tmp_path)
+        assert report_key(warm.run(events)) == report_key(baseline)
 
 
 class TestWorkerKills:

@@ -54,6 +54,19 @@ class TestParser:
         with pytest.raises(SystemExit, match="--checkpoint-dir"):
             main(["fuzz", "--budget", "32", "--events", "2", "--resume"])
 
+    def test_cache_dir_only_on_campaign_commands(self):
+        for sub in ("fuzz", "deploy"):
+            args = build_parser().parse_args([sub, "--cache-dir", "store"])
+            assert args.cache_dir == "store"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile", "--cache-dir", "store"])
+
+    def test_cache_dir_conflicts_reported_up_front(self):
+        with pytest.raises(SystemExit, match="conflicts"):
+            main(["fuzz", "--cache-dir", "a", "--checkpoint-dir", "b"])
+        with pytest.raises(SystemExit, match="--strategy grammar"):
+            main(["fuzz", "--cache-dir", "a", "--strategy", "coverage"])
+
 
 class TestCommands:
     def test_profile_runs(self, capsys):
@@ -106,6 +119,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "campaign: 3 shards (2 resumed, 1 screened)" in out
         assert "covering set" in out
+
+    def test_fuzz_cache_dir_rerun_screens_nothing(self, tmp_path, capsys):
+        argv = ["fuzz", "--budget", "96", "--events", "2",
+                "--shard-size", "32", "--seed", "2",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert "campaign: 3 shards (3 resumed, 0 screened)" in second
+        assert [line for line in second.splitlines()
+                if "covering set" in line] \
+            == [line for line in first.splitlines()
+                if "covering set" in line]
 
     def test_deploy_then_defended_attack(self, tmp_path, capsys):
         artifact = tmp_path / "aegis.json"

@@ -11,6 +11,7 @@ tenants share the fleet.
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ class TestRegistry:
         assert registry.latest(artifact.processor_model,
                                "website").version == 2
         assert registry.series() == [(artifact.processor_model, "website")]
+
+    def test_failed_publish_leaves_no_temp_or_version(self, tmp_path,
+                                                      monkeypatch):
+        registry = ArtifactRegistry(tmp_path)
+        artifact = default_artifact()
+        entry = registry.publish(artifact, workload="website")
+
+        def torn(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", torn)  # dies mid-write
+        with pytest.raises(OSError, match="disk full"):
+            registry.publish(artifact, workload="website")
+        monkeypatch.undo()
+        assert [p.name for p in entry.path.parent.iterdir()] \
+            == ["v0001.json"]
+        assert registry.versions(artifact.processor_model,
+                                 "website") == [1]
 
     def test_load_round_trips_the_artifact(self, tmp_path):
         registry = ArtifactRegistry(tmp_path)

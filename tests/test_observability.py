@@ -394,10 +394,13 @@ def test_session_scopes_and_restores(tmp_path):
     assert "slo.fleet.tick.seconds" in records[0]["metrics"]["histograms"]
 
 
-def test_disabled_plane_is_noop_through_fleet_and_cache(tmp_path):
+def test_disabled_plane_is_noop_through_fleet_and_cache(tmp_path,
+                                                        make_fuzzer,
+                                                        fuzz_events):
     """With obs off, no slo.* metrics appear anywhere — the wrappers
-    must take the early-return path, not record into a hidden sink."""
-    from repro.cache.cache import CachedMeasurement, MeasurementCache
+    must take the early-return path, not record into a hidden sink.
+    The campaign fills and then reads a ``cache_dir`` shard store."""
+    from repro.core.fuzzer import FuzzingCampaign
 
     with telemetry.session():
         plane = FleetControlPlane(default_artifact(), seed=3,
@@ -405,11 +408,11 @@ def test_disabled_plane_is_noop_through_fleet_and_cache(tmp_path):
         specs = default_specs(2)
         LoadGenerator(plane, specs, windows=1,
                       slices_per_window=20).run()
-        cache = MeasurementCache(tmp_path / "cache")
-        cache.put("k", CachedMeasurement(deltas=(1.0,), signals=(0.5,),
-                                         cycles=7))
-        assert cache.get("k") is not None
+        for _ in range(2):
+            FuzzingCampaign(make_fuzzer(gadget_budget=8, shard_size=4),
+                            cache_dir=tmp_path).run(fuzz_events)
         snapshot = telemetry.metrics().snapshot()
+        assert snapshot["counters"]["cache.hits"] == 8
     assert not any(name.startswith("slo.")
                    for name in snapshot["histograms"])
     assert not any(name.startswith("obs.")

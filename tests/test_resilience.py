@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.cache.store import DiskStore
 from repro.core.fuzzer.campaign import (
     ShardResult,
     ShardSpec,
@@ -83,7 +82,7 @@ class TestFaultSpec:
 
     def test_gadgets_only_for_shards(self):
         with pytest.raises(ValueError, match="gadgets"):
-            FaultSpec(point="cache.store.read", mode="raise", gadgets=(3,))
+            FaultSpec(point="checkpoint.write", mode="raise", gadgets=(3,))
 
 
 class TestFaultPlan:
@@ -134,7 +133,7 @@ class TestFaultPlan:
     def test_json_round_trip(self):
         p = plan(FaultSpec(point="campaign.shard", mode="kill",
                            probability=0.25, times=2, match=(0, 40)),
-                 FaultSpec(point="cache.store.read", mode="corrupt"))
+                 FaultSpec(point="search.corpus.write", mode="corrupt"))
         assert FaultPlan.from_json(p.to_json()) == p
 
     def test_parse_inline_and_file(self, tmp_path):
@@ -200,12 +199,12 @@ class TestFaultInjector:
 
     def test_implicit_attempt_burns_out(self):
         injector = FaultInjector(plan(
-            FaultSpec(point="cache.store.read", mode="raise", times=1)))
+            FaultSpec(point="checkpoint.write", mode="raise", times=1)))
         with pytest.raises(InjectedFault):
-            injector.check("cache.store.read", key=9)
-        assert injector.check("cache.store.read", key=9) is None
+            injector.check("checkpoint.write", key=9)
+        assert injector.check("checkpoint.write", key=9) is None
         with pytest.raises(InjectedFault):  # other keys fault independently
-            injector.check("cache.store.read", key=10)
+            injector.check("checkpoint.write", key=10)
 
     def test_fired_lands_in_metrics(self):
         with telemetry.session():
@@ -365,53 +364,38 @@ class TestCheckpointDurability:
 
 
 class TestDiskStore:
+    """The shard store behind ``cache_dir``, at the file level."""
+
+    SHARD = ShardSpec(index=0, start=0, count=4)
+    RESULT = ShardResult(index=0, start=0, count=4,
+                         screened={7: [(0, 1.0), (2, 4.0)]})
+
     def test_put_get_round_trip(self, tmp_path):
-        store = DiskStore(tmp_path)
-        store.put("ab" + "0" * 14, {"deltas": [1.0, 2.0]})
-        assert store.get("ab" + "0" * 14)["deltas"] == [1.0, 2.0]
-        assert len(store) == 1
+        save_shard_checkpoint(tmp_path, self.RESULT, "fp")
+        assert load_shard_checkpoint(tmp_path, self.SHARD,
+                                     "fp") == self.RESULT
+        assert [p.name for p in tmp_path.iterdir()] == ["shard-00000.json"]
 
     def test_failed_put_removes_temp(self, tmp_path, monkeypatch):
-        store = DiskStore(tmp_path)
-
         def boom(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
-            store.put("ab" + "0" * 14, {"deltas": []})
+            save_shard_checkpoint(tmp_path, self.RESULT, "fp")
         monkeypatch.undo()
-        assert list(tmp_path.rglob("*.tmp")) == []
-        assert len(store) == 0
-
-    def test_stale_tmp_swept_on_open(self, tmp_path):
-        key = "cd" + "0" * 14
-        first = DiskStore(tmp_path)
-        first.put(key, {"deltas": [3.0]})
-        stale = first.path_for(key).with_suffix(".999.tmp")
-        stale.write_text("partial", encoding="utf-8")
-        old = time.time() - 7200
-        os.utime(stale, (old, old))
-        fresh = stale.with_suffix(".888.tmp")
-        fresh.write_text("in flight", encoding="utf-8")
-        with telemetry.session():
-            store = DiskStore(tmp_path)
-            counters = telemetry.metrics().snapshot()["counters"]
-        assert store.swept_tmp == 1
-        assert not stale.exists()
-        assert fresh.exists()  # too young: a live writer may own it
-        assert store.get(key)["deltas"] == [3.0]
-        assert counters["cache.tmp_swept"] == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_injected_read_corruption_is_a_miss(self, tmp_path):
-        key = "ef" + "0" * 14
-        store = DiskStore(tmp_path)
-        store.put(key, {"deltas": [4.0]})
         with resilience.session(plan(
-                FaultSpec(point="cache.store.read", mode="corrupt",
+                FaultSpec(point="checkpoint.write", mode="corrupt",
                           times=1))):
-            assert store.get(key) is None  # corrupt -> safe miss
-            assert store.get(key)["deltas"] == [4.0]  # fault burnt out
+            save_shard_checkpoint(tmp_path, self.RESULT, "fp")
+            # Torn first generation, no backup: a safe miss.
+            assert load_shard_checkpoint(tmp_path, self.SHARD, "fp") is None
+            save_shard_checkpoint(tmp_path, self.RESULT, "fp")  # burnt out
+        assert load_shard_checkpoint(tmp_path, self.SHARD,
+                                     "fp") == self.RESULT
 
 
 class TestNoiseFailClosed:
