@@ -2,19 +2,23 @@
 
 The Event Fuzzer's scale story is bounded by measurement evaluations
 per second ((gadget, event) pairs, the same unit campaign_scaling
-reports). This bench drives the two workloads the batch engine
+reports). This bench drives the workloads the batch engine
 accelerates:
 
-- **Repeated measurement** (the Fig. 6 repeated-trigger loop and every
-  confirmation pass): one program executed tens of thousands of times
-  back to back. Convergence replication detects the microarchitectural
-  fixed point after a few iterations and replicates results
-  arithmetically, so throughput is decoupled from the interpreter.
+- **Repeated measurement**: one framed program executed tens of
+  thousands of times back to back. Convergence replication detects the
+  microarchitectural fixed point after a few iterations and replicates
+  results arithmetically, so throughput is decoupled from the
+  interpreter.
 - **Screening** (one measurement per gadget from the canonical
   reset+warm-up state): the archetype memo serves repeat gadget shapes
   without executing.
+- **Confirmation** (the Fig. 6 repeated-trigger test): each cold or hot
+  path of a candidate runs its ten executions of R bare-body iterations
+  as one ``ExecutionHarness.measure_executions`` call, served by
+  convergence replication through ``Core.execute_signals``.
 
-Both paths are proven bit-identical to the scalar interpreter by
+All paths are proven bit-identical to the scalar interpreter by
 ``tests/test_batch_equivalence.py``; this bench re-asserts identity on
 a sample (the ``bit_identical`` gate metric) so the throughput numbers
 can never drift away from correctness.
@@ -27,6 +31,7 @@ import pytest
 
 from benchmarks.conftest import SMOKE, emit, emit_metrics, once
 from repro.core.fuzzer.campaign import default_cleanup, gadget_stream
+from repro.core.fuzzer.confirm import GadgetConfirmer
 from repro.core.fuzzer.generator import ExecutionHarness
 from repro.core.fuzzer.grammar import GadgetGrammar
 from repro.cpu import batch
@@ -46,6 +51,7 @@ REPEATS = 20_000 if SMOKE else 100_000     # repeated-measurement batch
 SCALAR_SAMPLE = 1_000 if SMOKE else 4_000  # scalar comparison sample
 IDENTITY_CHECK = 512                       # full bit-compare batch
 SCREEN_GADGETS = 400 if SMOKE else 1_600   # screening workload
+CONFIRM_PAIRS = 24 if SMOKE else 96        # confirmation workload
 
 
 def _measurement_batch(n, scalar):
@@ -100,6 +106,32 @@ def _screening_batch(count, scalar):
     return deltas, elapsed
 
 
+def _confirmation_batch(count, scalar):
+    """Confirm ``count`` fixed (gadget, event) pairs on one core.
+
+    Returns the :class:`ConfirmationResult` list and the seconds spent
+    confirming. Candidates are grammar gadgets, each paired with one
+    of the bench events in turn.
+    """
+    amd = processor_catalog(MODEL)
+    events = [amd.index_of(name) for name in EVENT_NAMES]
+    grammar = GadgetGrammar(default_cleanup(MODEL).legal, rng=0)
+    pairs = [(grammar.sample(rng=gadget_stream(23, i)),
+              events[i % len(events)]) for i in range(count)]
+    core = Core(MODEL, rng=np.random.default_rng(11))
+    confirmer = GadgetConfirmer(ExecutionHarness(core, rng=0), rng=0)
+    before = batch.FORCE_SCALAR
+    batch.FORCE_SCALAR = scalar
+    try:
+        start = time.perf_counter()
+        results = [confirmer.confirm(gadget, event)
+                   for gadget, event in pairs]
+        elapsed = time.perf_counter() - start
+    finally:
+        batch.FORCE_SCALAR = before
+    return results, elapsed
+
+
 @pytest.mark.benchmark(group="batch")
 def test_batch_simulator(benchmark):
     n_events = len(EVENT_NAMES)
@@ -114,7 +146,13 @@ def test_batch_simulator(benchmark):
     scl_screen, scl_screen_s = _screening_batch(SCREEN_GADGETS,
                                                 scalar=True)
     screening_identical = np.array_equal(vec_screen, scl_screen)
-    bit_identical = float(repeated_identical and screening_identical)
+    vec_confirm, vec_confirm_s = _confirmation_batch(CONFIRM_PAIRS,
+                                                     scalar=False)
+    scl_confirm, scl_confirm_s = _confirmation_batch(CONFIRM_PAIRS,
+                                                     scalar=True)
+    confirmation_identical = vec_confirm == scl_confirm
+    bit_identical = float(repeated_identical and screening_identical
+                          and confirmation_identical)
     assert bit_identical == 1.0
 
     _, vectorized_s = once(
@@ -126,6 +164,9 @@ def test_batch_simulator(benchmark):
     scalar_rate = SCALAR_SAMPLE * n_events / scalar_s
     screen_rate = SCREEN_GADGETS * n_events / vec_screen_s
     screen_scalar_rate = SCREEN_GADGETS * n_events / scl_screen_s
+    confirm_rate = CONFIRM_PAIRS / vec_confirm_s
+    confirm_scalar_rate = CONFIRM_PAIRS / scl_confirm_s
+    accepted = sum(r.confirmed for r in vec_confirm)
 
     lines = [
         f"repeated measurement: {REPEATS:,} executions x {n_events} "
@@ -139,14 +180,21 @@ def test_batch_simulator(benchmark):
         f"{screen_scalar_rate:,.0f} evals/s scalar vs "
         f"{screen_rate:,.0f} vectorized "
         f"({screen_rate / screen_scalar_rate:.2f}x)",
+        f"confirmation ({CONFIRM_PAIRS} candidates, {accepted} "
+        f"accepted): {confirm_scalar_rate:,.1f} confirms/s scalar vs "
+        f"{confirm_rate:,.1f} vectorized "
+        f"({confirm_rate / confirm_scalar_rate:.2f}x)",
         f"bit-identical across engines: repeated={repeated_identical} "
-        f"screening={screening_identical}",
+        f"screening={screening_identical} "
+        f"confirmation={confirmation_identical}",
     ]
     emit("batch_simulator", "\n".join(lines))
     emit_metrics("batch_simulator", {
         "throughput_evals_per_s": throughput,
         "speedup_vs_scalar": throughput / scalar_rate,
         "screening_evals_per_s": screen_rate,
+        "confirm_per_s": confirm_rate,
+        "confirm_scalar_per_s": confirm_scalar_rate,
         "bit_identical": bit_identical,
     })
 

@@ -702,7 +702,8 @@ class FuzzingCampaign:
                                                fingerprint)
                 if loaded is not None:
                     results[shard.start] = loaded
-        resumed = len(results)
+        resumed_starts = set(results)
+        resumed = len(resumed_starts)
         pending = [shard for shard in plan if shard.start not in results]
         logger.debug("campaign: %d shards planned, %d resumed, "
                      "%d pending on %d worker(s)", len(plan), resumed,
@@ -746,8 +747,11 @@ class FuzzingCampaign:
         self.stats = CampaignStats(
             num_shards=len(plan), resumed_shards=resumed,
             screened_shards=len(plan) - resumed, workers=self.workers,
+            # Only shards screened here: a reused shard carries the CPU
+            # time of the run that filled it.
             shard_cpu_seconds=[results[key].cpu_seconds
-                               for key in sorted(results)],
+                               for key in sorted(results)
+                               if key not in resumed_starts],
             screening_wall_seconds=step_seconds["generation_execution"],
             shard_failures=list(supervised.failures),
             retries=supervised.retries,

@@ -90,13 +90,10 @@ class GadgetConfirmer:
         event = np.array([event_index])
         body = (list(gadget.reset) if cold
                 else list(gadget.reset) + list(gadget.trigger))
-        v_samples = []
-        big_v_samples = []
-        for _ in range(self.executions):
-            per_iteration, cumulative = self.harness.measure_iterations(
-                body, event, self.trigger_repeats)
-            v_samples.append(float(np.median(per_iteration[:, 0])))
-            big_v_samples.append(float(cumulative[0]))
+        per_iteration = self.harness.measure_executions(
+            body, event, self.trigger_repeats, self.executions)[:, :, 0]
+        v_samples = np.median(per_iteration, axis=1)
+        big_v_samples = per_iteration.sum(axis=1)
         return float(np.median(v_samples)), float(np.median(big_v_samples))
 
     # -- mechanism 2: repeated triggers -----------------------------------
@@ -147,10 +144,11 @@ class GadgetConfirmer:
             candidate = confirmed[int(i)]
             event = np.array([candidate.event_index])
             hot = list(candidate.gadget.reset) + list(candidate.gadget.trigger)
-            _, hot_cumulative = self.harness.measure_iterations(
-                hot, event, self.trigger_repeats)
-            _, cold_cumulative = self.harness.measure_iterations(
-                list(candidate.gadget.reset), event, self.trigger_repeats)
+            hot_cumulative = self.harness.measure_executions(
+                hot, event, self.trigger_repeats, 1)[0].sum(axis=0)
+            cold_cumulative = self.harness.measure_executions(
+                list(candidate.gadget.reset), event, self.trigger_repeats,
+                1)[0].sum(axis=0)
             per_iteration = (hot_cumulative[0] - cold_cumulative[0]) \
                 / self.trigger_repeats
             original = candidate.per_iteration_delta

@@ -144,59 +144,61 @@ class ExecutionHarness:
                 address += 4
         return program
 
-    def measure_iterations(self, body: list[InstructionSpec],
-                           event_indices: np.ndarray,
-                           iterations: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-iteration deltas inside one repeated execution (Fig. 6).
+    def measure_executions(self, body: list[InstructionSpec],
+                           event_indices: np.ndarray, iterations: int,
+                           executions: int) -> np.ndarray:
+        """Per-iteration deltas of repeated executions (Fig. 6).
 
-        The body runs ``iterations`` times back to back with the
-        counters read between iterations (microarchitectural state is
-        deliberately NOT reset — that is exactly what the repeated-
-        trigger test exploits). Returns ``(per_iteration, cumulative)``
-        with shapes (iterations, E) and (E,). An empty body measures
-        pure read noise.
+        One execution runs the body ``iterations`` times back to back
+        with the counters read between iterations; the ``executions``
+        executions follow each other on the same core
+        (microarchitectural state is deliberately NOT reset — that is
+        exactly what the repeated-trigger test exploits), so all
+        ``executions * iterations`` bodies form one sequence and run as
+        one batch submission. Returns shape (executions, iterations,
+        E). An empty body measures pure read noise.
         """
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
+        if executions < 1:
+            raise ValueError(f"executions must be >= 1, got {executions}")
         event_indices = np.asarray(event_indices, dtype=int)
         catalog = self.core.catalog
         noise_abs = catalog.noise_abs[event_indices]
         n_events = len(event_indices)
-        # One root draw from the harness stream seeds two derived
-        # streams: per-iteration execution seeds (each repetition gets
-        # its own seed instead of a duplicated program list, so the
-        # batch geometry is explicit and individually reproducible) and
-        # the interference draws. Everything downstream is a pure
-        # function of the root, which is what the pinned-digest
+        # Each execution draws one root from the harness stream, in
+        # execution order, and takes its interference draws from the
+        # stream derived from that root. Everything downstream is a
+        # pure function of the roots, which is what the pinned-digest
         # regression test locks down.
-        root = int(self._rng.integers(2**63))
-        seeds = derive_stream(root, "execution").integers(
-            0, 2**63 - 1, size=iterations)
-        true_deltas = np.zeros((iterations, n_events))
+        roots = [int(self._rng.integers(2**63)) for _ in range(executions)]
+        per_iteration = np.zeros((executions, iterations, n_events))
         if body:
             program = self.build_program(body, repeats=1,
                                          include_frame=False)
-            results = self.core.execute_batch(program, update_hpc=False,
-                                              seeds=seeds)
-            signals = np.stack([r.signals for r in results])
-            # Detailed-path signals are integer-valued, so the batched
-            # matmul is exact — identical to per-iteration projection.
-            true_deltas = np.atleast_2d(catalog.counts_for(
-                signals, rng=None, event_indices=event_indices))
+            signals = self.core.execute_signals(program,
+                                                executions * iterations)
+            # Detailed-path signals are integer-valued, so the matmul is
+            # exact; each execution keeps the (iterations, S) shape a
+            # single-execution projection has.
+            for j, rows in enumerate(signals.reshape(executions, iterations,
+                                                     -1)):
+                per_iteration[j] = catalog.counts_for(
+                    rows, rng=None, event_indices=event_indices)
         # RDPMC reads the register exactly; the non-determinism is rare
         # external interference (residual interrupts on the isolated
         # core) that *adds* counts between reads. This is precisely the
         # disturbance the paper's median-of-multiple-executions step
         # filters out.
         interference_prob = 0.03
-        noise_gen = derive_stream(root, "interference")
-        polluted = noise_gen.random((iterations, n_events)) \
-            < interference_prob
-        noise = noise_gen.poisson(
-            np.broadcast_to(noise_abs, (iterations, n_events)))
-        per_iteration = true_deltas + polluted * noise
-        self.executions += iterations
-        return per_iteration, per_iteration.sum(axis=0)
+        shape = (iterations, n_events)
+        noise_lam = np.broadcast_to(noise_abs, shape)
+        for j, root in enumerate(roots):
+            noise_gen = derive_stream(root, "interference")
+            polluted = noise_gen.random(shape) < interference_prob
+            per_iteration[j] += polluted * noise_gen.poisson(noise_lam)
+        self.executions += executions * iterations
+        return per_iteration
 
     # -- measurement -----------------------------------------------------
 

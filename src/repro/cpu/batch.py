@@ -21,13 +21,15 @@ chaos-equivalence suites depend on. Three mechanisms, all exact:
   the same dynamic remainder, so one scalar execution per archetype
   class serves the whole shard; the per-gadget result is rebuilt as
   ``static(program) + dynamic(archetype)``.
-- **Convergence replication** (:meth:`Core.execute_batch` repeats): a
-  program executed back to back drives the microarchitectural state to
-  a fixed point after a few iterations (the warmed caches stop
-  evicting, the predictor saturates). Once two consecutive post-states
-  are identical the remaining executions are replicas: results are
-  copied and the per-execution counter deltas are applied arithmetically
-  (all integers, so ``k`` scalar additions equal one ``delta * k``).
+- **Convergence replication** (:meth:`Core.execute_batch` repeats and
+  :meth:`Core.execute_signals`): a program executed back to back
+  drives the microarchitectural state to a fixed point after a few
+  iterations (the warmed caches stop evicting, the predictor
+  saturates). Once two consecutive post-states are identical the
+  remaining executions are replicas: results are copied (or, for the
+  signals matrix, written as rows) and the per-execution counter
+  deltas are applied arithmetically (all integers, so ``k`` scalar
+  additions equal one ``delta * k``).
 
 Aggregate :class:`ActivityBlock` batches vectorize the interrupt
 arrival draws and signal adjustments (:func:`execute_blocks`); the HPC
@@ -504,90 +506,84 @@ def _replicate(last: "ExecutionResult", k: int) -> "list[ExecutionResult]":
 
 
 def _run_repeated(core: "Core", program: Program, count: int,
-                  update_hpc: bool) -> "list[ExecutionResult]":
+                  update_hpc: bool
+                  ) -> "tuple[list[ExecutionResult], int]":
     """``count`` sequential executions of one program, replicated once
-    the microarchitectural state reaches its fixed point."""
-    if count <= 0:
-        return []
+    the microarchitectural state reaches its fixed point.
+
+    Returns the executed results and the number of replicas of the
+    last one that complete the sequence; the core's state and counters
+    already stand where ``count`` scalar executions would leave them.
+    """
+    if count < 0:
+        raise ValueError(f"repeats must be >= 0, got {count}")
+    if count == 0:
+        return [], 0
     if scalar_only() or count <= 2 or core.hpc.programmed_slots():
         results = _scalar_results(core, program, count, update_hpc)
         _count(EVALS_COUNTER, count)
         _count(FALLBACK_COUNTER, count)
-        return results
+        return results, 0
     fields = _counter_fields(core)
     results: "list[ExecutionResult]" = []
-    scalar_runs = 0
+    replicas = 0
     prev_sig = None
     prev_counts = None
     while len(results) < count:
         result = core.execute_program(program, update_hpc=update_hpc)
         results.append(result)
-        scalar_runs += 1
         if result.faulted:
             # Faulting programs skip the HPC/clock epilogue; keep the
             # remainder scalar rather than modeling partial execution.
-            remainder = count - len(results)
-            results.extend(_scalar_results(core, program, remainder,
+            results.extend(_scalar_results(core, program,
+                                           count - len(results),
                                            update_hpc))
-            scalar_runs += remainder
             break
         sig = _state_signature(core)
         counts = _counter_snapshot(core, fields)
         if prev_sig is not None and sig == prev_sig:
-            k = count - len(results)
-            if k > 0:
-                _apply_replica_deltas(core, fields, prev_counts, counts, k,
-                                      result.cycles)
-                results.extend(_replicate(result, k))
+            replicas = count - len(results)
+            if replicas:
+                _apply_replica_deltas(core, fields, prev_counts, counts,
+                                      replicas, result.cycles)
             break
         if len(results) >= MAX_SCALAR_PREFIX:
-            remainder = count - len(results)
-            results.extend(_scalar_results(core, program, remainder,
+            results.extend(_scalar_results(core, program,
+                                           count - len(results),
                                            update_hpc))
-            scalar_runs += remainder
             break
         prev_sig, prev_counts = sig, counts
     _count(EVALS_COUNTER, count)
-    _count(FALLBACK_COUNTER, scalar_runs)
-    return results
+    _count(FALLBACK_COUNTER, len(results))
+    return results, replicas
+
+
+def _repeated_results(core: "Core", program: Program, count: int,
+                      update_hpc: bool) -> "list[ExecutionResult]":
+    executed, replicas = _run_repeated(core, program, count, update_hpc)
+    if replicas:
+        executed.extend(_replicate(executed[-1], replicas))
+    return executed
 
 
 def execute_batch(core: "Core",
                   programs: "Program | Iterable[Program] | None",
                   update_hpc: bool = True,
-                  repeats: "int | None" = None,
-                  seeds: "np.ndarray | None" = None
+                  repeats: "int | None" = None
                   ) -> "list[ExecutionResult]":
     """Vectorized engine behind :meth:`Core.execute_batch`.
 
     Semantics are exactly those of looping ``execute_program`` —
     microarchitectural state carries over between executions — with
     runs of the *same* program object served by convergence
-    replication. ``repeats``/``seeds`` batch one program without
-    materializing a duplicated list; ``seeds`` carries one integer per
-    execution (the measurement layer derives them from its own RNG
-    stream so batch geometry is explicit and reproducible — the
-    detailed path itself is deterministic, so seeds do not perturb
-    execution).
+    replication. ``repeats`` batches one program without materializing
+    a duplicated list.
     """
-    if repeats is not None and seeds is not None:
-        raise ValueError("pass either repeats or seeds, not both")
     if isinstance(programs, Program):
-        if seeds is not None:
-            seeds = np.asarray(seeds)
-            if seeds.ndim != 1:
-                raise ValueError(
-                    f"seeds must be a 1-D array, got shape {seeds.shape}")
-            count = len(seeds)
-        elif repeats is not None:
-            if repeats < 0:
-                raise ValueError(f"repeats must be >= 0, got {repeats}")
-            count = repeats
-        else:
-            count = 1
-        return _run_repeated(core, programs, count, update_hpc)
-    if repeats is not None or seeds is not None:
-        raise ValueError("repeats/seeds require a single Program")
+        count = 1 if repeats is None else repeats
+        return _repeated_results(core, programs, count, update_hpc)
+    if repeats is not None:
+        raise ValueError("repeats requires a single Program")
     if programs is None:
         return []
     programs = list(programs)
@@ -598,10 +594,29 @@ def execute_batch(core: "Core",
         while (stop < len(programs)
                and programs[stop] is programs[start]):
             stop += 1
-        results.extend(_run_repeated(core, programs[start], stop - start,
-                                     update_hpc))
+        results.extend(_repeated_results(core, programs[start],
+                                         stop - start, update_hpc))
         start = stop
     return results
+
+
+def execute_signals(core: "Core", program: Program,
+                    repeats: int) -> np.ndarray:
+    """Vectorized engine behind :meth:`Core.execute_signals`.
+
+    The signals of ``execute_batch(core, program, update_hpc=False,
+    repeats=repeats)`` as one ``(repeats, NUM_SIGNALS)`` matrix:
+    converged replicas are written into rows of that matrix rather than
+    allocated as one :class:`ExecutionResult` each.
+    """
+    executed, replicas = _run_repeated(core, program, repeats,
+                                       update_hpc=False)
+    matrix = np.empty((repeats, NUM_SIGNALS), dtype=np.float64)
+    for row, result in zip(matrix, executed):
+        row[:] = result.signals
+    if replicas:
+        matrix[len(executed):] = executed[-1].signals
+    return matrix
 
 
 # -- aggregate block batches ----------------------------------------------

@@ -160,8 +160,7 @@ class Core:
 
     def execute_batch(self, programs: "Program | list[Program] | None" = None,
                       update_hpc: bool = True, *,
-                      repeats: "int | None" = None,
-                      seeds: "np.ndarray | None" = None
+                      repeats: "int | None" = None
                       ) -> list[ExecutionResult]:
         """Execute a batch of programs back to back, one result each.
 
@@ -173,24 +172,34 @@ class Core:
         the differential equivalence suite.
 
         ``programs`` may be a list, or a single :class:`Program`
-        combined with either ``repeats`` (execute it that many times)
-        or ``seeds`` (one execution per per-iteration seed; the
-        detailed path is deterministic, so seeds carry the batch
-        geometry and provenance rather than perturbing execution).
+        combined with ``repeats`` (execute it that many times).
         """
         from repro.cpu import batch
+        return self._submit(batch.execute_batch, programs,
+                            update_hpc=update_hpc, repeats=repeats)
+
+    def execute_signals(self, program: Program,
+                        repeats: int) -> np.ndarray:
+        """Signals of ``repeats`` back-to-back executions of ``program``.
+
+        The same submission as ``execute_batch(program,
+        update_hpc=False, repeats=repeats)``, returned as one
+        ``(repeats, NUM_SIGNALS)`` matrix for measurements that read
+        nothing but the signals.
+        """
+        from repro.cpu import batch
+        return self._submit(batch.execute_signals, program, repeats)
+
+    def _submit(self, engine, *args, **kwargs):
+        """Run one batch submission, observed as ``batch.execute``."""
         from repro.observability import runtime as observability
         obs = observability.active()
         if not obs.enabled:
-            return batch.execute_batch(self, programs,
-                                       update_hpc=update_hpc,
-                                       repeats=repeats, seeds=seeds)
+            return engine(self, *args, **kwargs)
         start = time.perf_counter()
-        results = batch.execute_batch(self, programs,
-                                      update_hpc=update_hpc,
-                                      repeats=repeats, seeds=seeds)
+        result = engine(self, *args, **kwargs)
         obs.slo.observe("batch.execute", time.perf_counter() - start)
-        return results
+        return result
 
     def _charge_memory_stalls(self, signals: np.ndarray) -> int:
         """Stall cycles implied by the most recent access outcome."""

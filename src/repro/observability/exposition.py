@@ -16,7 +16,6 @@ Two deterministic serializations of a metrics snapshot:
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
 
@@ -68,13 +67,10 @@ def render_openmetrics(snapshot: dict) -> str:
 
 
 def write_openmetrics(snapshot: dict, path: "str | Path") -> Path:
-    """Atomically write the OpenMetrics exposition to ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(render_openmetrics(snapshot), encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    """Durably write the OpenMetrics exposition to ``path``."""
+    # Imported here: the fleet package imports this one.
+    from repro.fleet.statefile import write_text_atomic
+    return write_text_atomic(path, render_openmetrics(snapshot))
 
 
 class SnapshotExporter:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.fuzzer.grammar import Gadget
-from repro.fleet.statefile import read_json, write_json_atomic
+from repro.fleet.statefile import (read_json, write_json_atomic,
+                                   write_text_atomic)
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import InjectedFault, corrupt_text, stable_key
 from repro.telemetry import runtime as telemetry
@@ -135,11 +136,8 @@ class Corpus:
             key = stable_key(entry.digest)
             spec = resilience.check("search.corpus.write", key=key)
             if spec is not None and spec.mode == "corrupt":
-                text = corrupt_text(json.dumps(payload, sort_keys=True),
-                                    key=key)
-                tmp = path.with_suffix(".json.tmp")
-                tmp.write_text(text, encoding="utf-8")
-                tmp.replace(path)
+                write_text_atomic(path, corrupt_text(
+                    json.dumps(payload, sort_keys=True), key=key))
             else:
                 write_json_atomic(path, payload)
         except InjectedFault:

@@ -272,20 +272,6 @@ class TestCampaignDigests:
 
 
 class TestBatchApi:
-    def test_repeats_and_seeds_are_exclusive(self):
-        core = Core(MODEL, rng=np.random.default_rng(0))
-        harness = ExecutionHarness(core, rng=0)
-        program = harness.build_program([legal_specs()[0]])
-        with pytest.raises(ValueError):
-            core.execute_batch(program, repeats=4, seeds=np.arange(4))
-
-    def test_seeds_must_be_one_dimensional(self):
-        core = Core(MODEL, rng=np.random.default_rng(0))
-        harness = ExecutionHarness(core, rng=0)
-        program = harness.build_program([legal_specs()[0]])
-        with pytest.raises(ValueError):
-            core.execute_batch(program, seeds=np.zeros((2, 2)))
-
     def test_repeats_requires_single_program(self):
         core = Core(MODEL, rng=np.random.default_rng(0))
         harness = ExecutionHarness(core, rng=0)
@@ -299,6 +285,88 @@ class TestBatchApi:
         program = harness.build_program([legal_specs()[0]])
         assert core.execute_batch(program, repeats=0) == []
         assert core.execute_batch([]) == []
+        assert core.execute_signals(program, 0).shape == (0, NUM_SIGNALS)
+
+    def test_negative_repeats_rejected(self):
+        core = Core(MODEL, rng=np.random.default_rng(0))
+        harness = ExecutionHarness(core, rng=0)
+        program = harness.build_program([legal_specs()[0]])
+        with pytest.raises(ValueError):
+            core.execute_batch(program, repeats=-1)
+        with pytest.raises(ValueError):
+            core.execute_signals(program, -1)
+
+
+class TestSignalsEntry:
+    """execute_signals == the signals of execute_batch(repeats=n)."""
+
+    @staticmethod
+    def _compare(body, repeats, count, program_slots=()):
+        core_a, core_b = paired_cores(13)
+        programs = []
+        for core in (core_a, core_b):
+            for slot, event in enumerate(program_slots):
+                core.hpc.program(slot, int(event))
+            programs.append(ExecutionHarness(core, rng=0).build_program(
+                list(body), repeats=repeats))
+        results = core_a.execute_batch(programs[0], update_hpc=False,
+                                       repeats=count)
+        matrix = core_b.execute_signals(programs[1], count)
+        assert matrix.shape == (count, NUM_SIGNALS)
+        for i, result in enumerate(results):
+            assert np.array_equal(result.signals, matrix[i]), i
+        assert_state_identical(core_a, core_b)
+        return results
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_converging_body(self, scalar):
+        families = family_specs()
+        body = [families[InstructionClass.CLFLUSH][0],
+                families[InstructionClass.LOAD][0]]
+        with force_scalar(scalar):
+            self._compare(body, repeats=1, count=40)
+
+    def test_faulting_system_body(self):
+        body = [family_specs()[InstructionClass.SYSTEM][0]]
+        results = self._compare(body, repeats=2, count=12)
+        assert all(r.faulted for r in results)
+
+    def test_programmed_hpc_slots(self):
+        families = family_specs()
+        body = [families[InstructionClass.LOAD][0],
+                families[InstructionClass.RDPMC][0]]
+        results = self._compare(body, repeats=2, count=8,
+                                program_slots=(10, 400))
+        assert any(r.rdpmc_values for r in results)
+
+    def test_counts_like_execute_batch(self):
+        from repro.telemetry import runtime as telemetry
+        body = [family_specs()[InstructionClass.LOAD][0]]
+        counters = []
+        for entry in ("batch", "signals"):
+            core = Core(MODEL, rng=np.random.default_rng(0))
+            program = ExecutionHarness(core, rng=0).build_program(body)
+            with telemetry.session():
+                if entry == "batch":
+                    core.execute_batch(program, update_hpc=False,
+                                       repeats=30)
+                else:
+                    core.execute_signals(program, 30)
+                snapshot = telemetry.metrics().snapshot()["counters"]
+            counters.append((snapshot[batch.EVALS_COUNTER],
+                             snapshot[batch.FALLBACK_COUNTER]))
+        assert counters[0] == counters[1]
+        assert counters[0][0] == 30 and counters[0][1] < 30
+
+    def test_observed_as_batch_submissions(self):
+        from repro.observability import runtime as observability
+        core = Core(MODEL, rng=np.random.default_rng(0))
+        program = ExecutionHarness(core, rng=0).build_program(
+            [legal_specs()[0]])
+        with observability.session() as runtime:
+            core.execute_batch(program, repeats=4)
+            core.execute_signals(program, 4)
+            assert runtime.slo.readout("batch.execute")["count"] == 2
 
 
 # -- hypothesis property tests ---------------------------------------------
@@ -328,25 +396,6 @@ def test_random_programs_scalar_vs_vectorized(data):
 
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_seeds_equivalent_to_repeats(data):
-    """seeds= and repeats= spell the same batch; seed values are
-    provenance, not perturbation — results must be identical."""
-    body = draw_body(data)
-    n = data.draw(st.integers(1, 16))
-    seed_values = data.draw(st.lists(
-        st.integers(0, 2**62), min_size=n, max_size=n))
-    core_a, core_b = paired_cores(3)
-    program_a = ExecutionHarness(core_a, rng=0).build_program(body, repeats=2)
-    program_b = ExecutionHarness(core_b, rng=0).build_program(body, repeats=2)
-    by_repeats = core_a.execute_batch(program_a, update_hpc=False, repeats=n)
-    by_seeds = core_b.execute_batch(program_b, update_hpc=False,
-                                    seeds=np.array(seed_values))
-    assert_results_identical(by_repeats, by_seeds)
-    assert_state_identical(core_a, core_b)
-
-
-@PROPERTY_SETTINGS
-@given(data=st.data())
 def test_batch_size_invariance(data):
     """One call of N == N calls of 1 (state carries over either way)."""
     body = draw_body(data)
@@ -362,6 +411,32 @@ def test_batch_size_invariance(data):
                                             repeats=1))
     assert_results_identical(one_call, n_calls)
     assert_state_identical(core_a, core_b)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_fused_executions_equal_sequential(data):
+    """One measure_executions call of n == n calls of one execution:
+    same deltas, same harness stream position, same core state — on
+    both engines."""
+    body = draw_body(data)
+    iterations = data.draw(st.integers(2, 16))
+    executions = data.draw(st.integers(1, 10))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for scalar in (False, True):
+        core_a, core_b = paired_cores(seed)
+        fused_h = ExecutionHarness(core_a, rng=seed)
+        single_h = ExecutionHarness(core_b, rng=seed)
+        with force_scalar(scalar):
+            fused = fused_h.measure_executions(body, EVENTS, iterations,
+                                               executions)
+            single = np.stack([
+                single_h.measure_executions(body, EVENTS, iterations, 1)[0]
+                for _ in range(executions)])
+        assert np.array_equal(fused, single)
+        assert fused_h._rng.integers(2**63) == single_h._rng.integers(2**63)
+        assert fused_h.executions == single_h.executions
+        assert_state_identical(core_a, core_b)
 
 
 @PROPERTY_SETTINGS

@@ -160,6 +160,8 @@ class TestCampaignCaching:
                                               workers)
             assert warm.stats.screened_shards == 0
             assert warm.stats.resumed_shards == BUDGET // SHARD
+            assert warm.stats.shard_cpu_seconds == []
+            assert warm.stats.critical_path() == 0
             assert counters.get("fuzz.executions", 0) == 0
             assert report_key(warm_report) == report_key(cold_report) \
                 == report_key(uncached)

@@ -160,6 +160,22 @@ class TestCheckpoints:
         assert resumed.stats.resumed_shards == 2
         assert resumed.stats.screened_shards == 2
 
+    def test_resumed_run_reports_only_screened_cpu(self, make_fuzzer,
+                                                   events, tmp_path):
+        """Shards loaded from checkpoints carry the CPU time of the run
+        that filled them; the resumed run reports only its own."""
+        FuzzingCampaign(make_fuzzer(), checkpoint_dir=tmp_path).run(events)
+        for index in (1, 3):
+            shard_checkpoint_path(tmp_path, index).unlink()
+        screened = []
+        resumed = FuzzingCampaign(make_fuzzer(), checkpoint_dir=tmp_path,
+                                  resume=True, shard_hook=screened.append)
+        resumed.run(events)
+        assert resumed.stats.resumed_shards == 2
+        assert resumed.stats.shard_cpu_seconds == [
+            r.cpu_seconds for r in sorted(screened, key=lambda r: r.start)]
+        assert len(resumed.stats.shard_cpu_seconds) == 2
+
     def test_manifest_describes_campaign(self, make_fuzzer, events, tmp_path):
         campaign = FuzzingCampaign(make_fuzzer(), checkpoint_dir=tmp_path)
         campaign.run(events)

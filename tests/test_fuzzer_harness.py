@@ -72,34 +72,42 @@ class TestHarness:
         measured = harness.measure_gadget(gadget, event)
         assert measured.deltas[0] < 6  # one cold miss + noise
 
-    def test_measure_iterations_shapes(self, harness, isa_catalog,
+    def test_measure_executions_shapes(self, harness, isa_catalog,
                                        amd_catalog):
         event = np.array([amd_catalog.index_of("RETIRED_UOPS")])
-        per_iter, cumulative = harness.measure_iterations(
-            [isa_catalog.get("ADD r64,r64")], event, iterations=8)
-        assert per_iter.shape == (8, 1)
-        assert cumulative.shape == (1,)
-        assert cumulative[0] == pytest.approx(per_iter.sum(), abs=1e-6)
+        per_iter = harness.measure_executions(
+            [isa_catalog.get("ADD r64,r64")], event, iterations=8,
+            executions=3)
+        assert per_iter.shape == (3, 8, 1)
+        assert harness.executions == 24
+
+    def test_measure_executions_validation(self, harness, amd_catalog):
+        event = np.array([amd_catalog.index_of("RETIRED_UOPS")])
+        with pytest.raises(ValueError):
+            harness.measure_executions([], event, 0, 1)
+        with pytest.raises(ValueError):
+            harness.measure_executions([], event, 4, 0)
 
     def test_measure_iterations_digest_pinned(self, core, isa_catalog,
                                               amd_catalog):
-        """Regression pin for the vectorized measure_iterations path.
+        """Regression pin for one repeated-trigger execution.
 
-        The measured-iterations stream is a pure function of the
-        harness RNG root: one root draw seeds the per-iteration
-        execution seeds (distinct per iteration, not a duplicated
-        program list) and the interference stream. Any accidental
-        change to the derivation, the batched execution, or the noise
-        draws shows up as a digest change here.
+        The per-iteration deltas are a pure function of the harness
+        RNG root: one root draw per execution seeds its interference
+        stream, and the batched execution itself consumes no
+        randomness. Any accidental change to the derivation, the
+        batched execution, or the noise draws shows up as a digest
+        change here.
         """
         import hashlib
         harness = ExecutionHarness(core, unroll=16, rng=0)
         events = np.array([
             amd_catalog.index_of("RETIRED_UOPS"),
             amd_catalog.index_of("DATA_CACHE_REFILLS_FROM_SYSTEM")])
-        per_iter, cumulative = harness.measure_iterations(
+        per_iter = harness.measure_executions(
             [isa_catalog.get("CLFLUSH m8"), isa_catalog.get("MOV r64,m64")],
-            events, iterations=12)
+            events, 12, 1)[0]
+        cumulative = per_iter.sum(axis=0)
         digest = hashlib.sha256(
             np.round(per_iter, 6).tobytes()
             + np.round(cumulative, 6).tobytes()).hexdigest()
@@ -108,7 +116,7 @@ class TestHarness:
 
     def test_idle_counter_reads_near_zero(self, harness, amd_catalog):
         event = np.array([amd_catalog.index_of("RETIRED_UOPS")])
-        per_iter, cumulative = harness.measure_iterations([], event, 16)
+        per_iter = harness.measure_executions([], event, 16, 1)
         assert abs(per_iter.mean()) < 3.0
 
     def test_gadget_signal_profile(self, harness, isa_catalog):
@@ -165,6 +173,35 @@ class TestConfirmer:
         result = confirmer.confirm(gadget, event)
         survivors = confirmer.reorder_validate([result])
         assert [s.gadget.name for s in survivors] == [gadget.name]
+
+    def test_confirm_digest_pinned(self, harness, isa_catalog,
+                                   amd_catalog):
+        """Regression pin for the fused confirmation path.
+
+        Each path's ten executions run as one batch submission and are
+        reduced with vectorized medians and sums; the verdicts and
+        medians must match, to the last bit, the per-execution loop
+        they replaced (the constant was computed with that loop).
+        """
+        import hashlib
+        confirmer = GadgetConfirmer(harness, rng=0)
+        cases = [
+            (["CLFLUSH m8"], ["MOV r64,m64"],
+             "DATA_CACHE_REFILLS_FROM_SYSTEM"),
+            (["NOP"], ["MOV r64,m64"], "DATA_CACHE_REFILLS_FROM_SYSTEM"),
+            ([], ["NOP"], "RETIRED_X87_FP_OPS"),
+            (["CPUID"], ["ADD r64,r64"], "RETIRED_UOPS"),
+        ]
+        lines = []
+        for reset, trigger, event in cases:
+            result = confirmer.confirm(_gadget(isa_catalog, reset, trigger),
+                                       amd_catalog.index_of(event))
+            lines.append(repr((result.per_iteration_delta,
+                               result.cold_median, result.hot_median,
+                               result.confirmed)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ("0543f04a9885bd0722df7f49ceda3f78"
+                          "6bdd325c1a9f8536f88e40ae28038e0f")
 
     def test_validation(self, harness):
         with pytest.raises(ValueError):

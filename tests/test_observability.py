@@ -35,6 +35,7 @@ from repro.observability import (
     metric_name,
     read_export,
     render_openmetrics,
+    write_openmetrics,
 )
 from repro.observability import runtime as observability
 
@@ -329,6 +330,27 @@ def test_render_openmetrics_pinned_text():
         "slo_x_seconds_sum 0.0145\n"
         "slo_x_seconds_count 4\n"
         "# EOF\n")
+
+
+def test_openmetrics_write_failure_keeps_previous_file(tmp_path,
+                                                      monkeypatch):
+    """A write whose fsync fails leaves the previous exposition intact
+    and no temp file behind."""
+    import os
+
+    from repro.fleet import statefile
+    path = tmp_path / "obs" / "metrics.om"
+    write_openmetrics({"counters": {"fleet.ticks": 1}}, path)
+    before = path.read_text(encoding="utf-8")
+
+    def failing_fsync(fd):
+        raise OSError("fsync failed")
+
+    monkeypatch.setattr(statefile.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="fsync failed"):
+        write_openmetrics({"counters": {"fleet.ticks": 2}}, path)
+    assert path.read_text(encoding="utf-8") == before
+    assert os.listdir(path.parent) == ["metrics.om"]
 
 
 def test_snapshot_exporter_seq_numbers(tmp_path):

@@ -353,6 +353,9 @@ class TestSearchChaos:
         reloaded = Corpus(tmp_path / "corpus")
         assert reloaded.load() == 0
         assert reloaded.misses == result.corpus_size
+        # The damaged entries went through the durable writer too.
+        assert [p for p in os.listdir(tmp_path / "corpus")
+                if p.endswith(".tmp")] == []
 
 
 class TestBlindBaseline:
