@@ -8,7 +8,14 @@ minimization trials counted against the search), and its corpus replay
 must be bit-identical across worker counts.  The blind baseline runs
 under the exact per-gadget RNG streams of campaign screening, so the
 comparison is against the real production path, not a strawman.
+
+The wall-clock search throughput at 1 and ``VERIFY_WORKERS`` workers
+is reported with the host's core count but not gated: it is timed from
+the two searches the gate already runs, once each.
 """
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -38,11 +45,17 @@ def test_coverage_search_vs_blind(benchmark):
     config = EventFuzzer(gadget_budget=SEARCH_BUDGET,
                          rng=11).search_config(events)
 
+    started = time.perf_counter()
     result = once(benchmark, lambda: CoverageSearch(
         config, max_evals=SEARCH_BUDGET).run())
+    search_s = time.perf_counter() - started
     blind = blind_search(config, max_evals=BLIND_BUDGET)
+    started = time.perf_counter()
     replay = CoverageSearch(config, max_evals=SEARCH_BUDGET,
                             workers=VERIFY_WORKERS).run()
+    replay_s = time.perf_counter() - started
+    evals_per_s = result.evals / search_s
+    replay_evals_per_s = replay.evals / replay_s
 
     target = max(1, int(COVER_FRACTION * len(events)))
     search_cost = result.evals_to_cover(target)
@@ -75,6 +88,9 @@ def test_coverage_search_vs_blind(benchmark):
         f"replay digest @{VERIFY_WORKERS} workers: "
         f"{replay.corpus_replay_digest[:16]} "
         f"({'bit-identical' if identical else 'DIVERGED'})",
+        f"wall clock (ungated):     {evals_per_s:.0f} evals/s @1 worker, "
+        f"{replay_evals_per_s:.0f} evals/s @{VERIFY_WORKERS} workers "
+        f"(host cores: {os.cpu_count()})",
     ]
     emit("coverage_search", "\n".join(lines))
     emit_metrics("coverage_search", {
@@ -82,6 +98,10 @@ def test_coverage_search_vs_blind(benchmark):
         "bit_identical_replay": float(identical),
         "search_evals_to_cover": float(search_cost),
         "covered_events": float(result.covered_count),
+        "search_evals_per_s": float(evals_per_s),
+        f"search_evals_per_s_{VERIFY_WORKERS}workers":
+            float(replay_evals_per_s),
+        "host_cores": float(os.cpu_count() or 0),
     })
 
     assert speedup >= MIN_SPEEDUP

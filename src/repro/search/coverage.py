@@ -21,6 +21,7 @@ counts, are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -87,8 +88,12 @@ NEAR_MISS_FRACTION = 0.25
 MAX_MAGNITUDE_BUCKET = 3
 
 
+@functools.cache
 def feature_id(event: int, unit: str, bucket: int) -> int:
-    """Stable 64-bit id for one (event, unit, bucket) coverage triple."""
+    """Stable 64-bit id for one (event, unit, bucket) coverage triple.
+
+    Memoized: the domain is bounded (events × units × nine buckets).
+    """
     digest = hashlib.sha256(f"{event}|{unit}|{bucket}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -133,8 +138,14 @@ class CoverageExtractor:
             raise ValueError("thresholds must align with event_indices")
         self.weights = np.asarray(
             catalog.weights[self.event_indices], dtype=np.float64)
-        self._unit_of = tuple(UNIT_OF_SIGNAL[Signal(s)]
-                              for s in range(self.weights.shape[1]))
+        unit_of = [UNIT_OF_SIGNAL[Signal(s)]
+                   for s in range(self.weights.shape[1])]
+        self._units = tuple(dict.fromkeys(unit_of))
+        # (signal × unit) one-hot: a boolean product with it maps a
+        # signal mask to the units it touches.
+        self._unit_onehot = np.array(
+            [[unit == u for u in self._units] for unit in unit_of],
+            dtype=bool)
 
     def extract(self, signals, deltas) -> CoverageSample:
         """Coverage of one measurement.
@@ -145,28 +156,32 @@ class CoverageExtractor:
         """
         signals = np.asarray(signals, dtype=np.float64)
         deltas = np.asarray(deltas, dtype=np.float64)
-        features: set[int] = set()
+        units = self._units
+        onehot = self._unit_onehot
 
         # Unit frontier: which units does this gadget exercise at all?
-        active_units = {self._unit_of[s] for s in np.flatnonzero(signals)}
-        for unit in active_units:
-            features.add(feature_id(FRONTIER_EVENT, unit, 0))
+        frontier = (signals != 0.0) @ onehot
+        features = {feature_id(FRONTIER_EVENT, units[u], 0)
+                    for u in np.flatnonzero(frontier)}
 
         # Noise-free expected response carries the sign (weights may be
         # negative); measured deltas decide *whether* an event responded,
         # with exact parity to campaign screening.
         expected = self.weights @ signals
         responding = np.flatnonzero(deltas > self.thresholds)
-        responses = []
-        for j in responding:
-            event = int(self.event_indices[j])
-            responses.append((event, float(deltas[j])))
-            sign = 1 if expected[j] >= 0.0 else -1
-            bucket = sign * _magnitude_bucket(float(deltas[j]),
-                                              float(self.thresholds[j]))
-            touched = np.flatnonzero(self.weights[j] * signals)
-            for s in touched:
-                features.add(feature_id(event, self._unit_of[s], bucket))
+        events = self.event_indices[responding].tolist()
+        measured = deltas[responding].tolist()
+        buckets = [(1 if positive else -1)
+                   * _magnitude_bucket(delta, threshold)
+                   for positive, delta, threshold in zip(
+                       (expected[responding] >= 0.0).tolist(), measured,
+                       self.thresholds[responding].tolist())]
+        # (responding event × unit) hits: the units an event's weight
+        # row actually reaches through this gadget's signals.
+        hits = ((self.weights[responding] * signals) != 0.0) @ onehot
+        for row, u in zip(*np.nonzero(hits)):
+            features.add(feature_id(events[row], units[u], buckets[row]))
+        responses = tuple(zip(events, measured))
 
         near_mask = ((deltas <= self.thresholds)
                      & (np.abs(expected) > NEAR_MISS_FRACTION
@@ -174,7 +189,7 @@ class CoverageExtractor:
         near = tuple(int(self.event_indices[j])
                      for j in np.flatnonzero(near_mask))
         return CoverageSample(features=tuple(sorted(features)),
-                              responses=tuple(responses), near=near)
+                              responses=responses, near=near)
 
 
 class CoverageMap:

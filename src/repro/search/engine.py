@@ -3,15 +3,19 @@
 Structure mirrors the sharded screening campaign: each round plans a
 batch of *evaluation tasks* (grammar samples for exploration, mutants
 of scheduled corpus seeds for exploitation), evaluates them in
-fixed-size chunks — in-process or across a worker pool, with identical
+equal-size chunks — in-process or across a worker pool, with identical
 chunk boundaries either way — and reduces the outcomes sequentially in
-plan order.  Every random draw comes from a ``derive_stream`` leaf
-keyed on stable labels (sample index, or (round, parent digest, child
-index)), and the reduction is a pure fold over outcomes sorted by
-evaluation index, so the corpus, coverage map, and responder pool are
-bit-identical for any worker count.  Grammar-sample tasks reuse the
-exact per-gadget streams of blind screening (``gadget_stream``), so
-the built-in blind baseline *is* the screening campaign's behavior.
+plan order.  The evaluation machinery (core, harness, grammar,
+mutator, coverage extractor) is built once per process and
+configuration (:func:`search_evaluator`); the parent builds it before
+the pool forks, so workers inherit it.  Every random draw comes from a
+``derive_stream`` leaf keyed on stable labels (sample index, or
+(round, parent digest, child index)), and the reduction is a pure fold
+over outcomes sorted by evaluation index, so the corpus, coverage map,
+and responder pool are bit-identical for any worker count.
+Grammar-sample tasks reuse the exact per-gadget streams of blind
+screening (``gadget_stream``), so the built-in blind baseline *is* the
+screening campaign's behavior.
 
 Checkpoints (one JSON statefile per round, written atomically) carry
 the whole search state — coverage map, scheduler energies, corpus
@@ -51,10 +55,10 @@ logger = logging.getLogger(__name__)
 #: Search checkpoint schema version.
 SEARCH_CHECKPOINT_VERSION = 1
 
-#: Evaluations per worker chunk.  Purely an execution granularity —
-#: chunk boundaries are a function of the round plan, never of the
-#: worker count, so results are chunk-partition-invariant by the same
-#: argument as shard partitioning.
+#: Upper bound on evaluations per worker chunk.  Purely an execution
+#: granularity — chunk boundaries are a function of the round plan,
+#: never of the worker count, so results are chunk-partition-invariant
+#: by the same argument as shard partitioning.
 DEFAULT_CHUNK_SIZE = 64
 
 #: Statefile name inside the checkpoint directory.
@@ -134,62 +138,126 @@ def mutation_stream(entropy: int, round_index: int, parent_digest: str,
                          child)
 
 
-def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
-    """Evaluate one chunk of search tasks.  Pure in (config, tasks, cold).
+def chunk_bounds(count: int, chunk_size: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of ⌈count / chunk_size⌉ near-equal chunks.
 
-    Mirrors ``screen_shard``'s per-gadget discipline: each task gets
-    its own RNG stream, a reset-then-warmed core, and a batched
-    screening measurement, so the outcome is identical no matter which
-    process evaluates the chunk.
+    Sizes differ by at most one, larger chunks first (100 tasks at
+    ``chunk_size`` 64 split 50+50, not 64+36), so a round's chunks
+    finish together on a pool.  A function of the plan alone.
     """
-    legal = default_cleanup(config.microarch).legal
-    by_name = build_name_index(legal)
-    core = Core(config.processor_model, rng=0)
-    harness = ExecutionHarness(core, unroll=config.unroll, rng=0)
-    # Archetype memo scoped to one chunk, exactly as screening scopes
-    # it to one shard: measurements become a pure function of the
-    # chunk, invariant to worker count and process history.
-    batch.clear_memo()
-    grammar = GadgetGrammar(legal, sequence_length=config.sequence_length,
-                            empty_reset_prob=config.empty_reset_prob, rng=0)
-    mutator = GadgetMutator(legal,
-                            max_sequence_length=config.max_sequence_length)
-    extractor = CoverageExtractor(core.catalog, config.event_indices,
-                                  config.thresholds)
-    cold_specs = tuple(by_name[name] for name in cold if name in by_name)
-    events = np.asarray(config.event_indices, dtype=int)
-    outcomes = []
-    for task in tasks:
-        if task.kind == "sample":
-            stream = gadget_stream(config.entropy, task.sample_index)
-            gadget = grammar.sample(rng=stream)
-        elif task.kind == "probe":
-            gadget = Gadget(
-                reset=tuple(by_name[n] for n in task.parent_reset),
-                trigger=tuple(by_name[n] for n in task.parent_trigger))
-            stream = derive_stream(config.entropy, "probe",
-                                   task.parent_trigger[0])
-        else:
-            parent = Gadget(
-                reset=tuple(by_name[n] for n in task.parent_reset),
-                trigger=tuple(by_name[n] for n in task.parent_trigger))
-            stream = mutation_stream(config.entropy, task.round_index,
-                                     task.parent_digest, task.child)
-            gadget = mutator.mutate(parent, stream, cold=cold_specs)
-        core.reset_microarch_state()
-        harness.warm_measurement_state()
-        harness.set_rng(stream)
-        measured = harness.screen_measure(gadget, events)
-        sample = extractor.extract(measured.signals, measured.deltas)
-        reset = tuple(s.name for s in gadget.reset)
-        trigger = tuple(s.name for s in gadget.trigger)
-        outcomes.append(SearchOutcome(
-            eval_index=task.eval_index, kind=task.kind,
-            parent_digest=task.parent_digest, reset=reset, trigger=trigger,
-            digest=gadget_digest(reset, trigger),
-            features=sample.features, responses=sample.responses,
-            near=sample.near))
-    return outcomes
+    if count <= 0:
+        return []
+    chunks = -(-count // chunk_size)
+    base, extra = divmod(count, chunks)
+    bounds = []
+    start = 0
+    for index in range(chunks):
+        stop = start + base + (1 if index < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+class SearchEvaluator:
+    """The search's evaluation machinery for one :class:`SearchConfig`.
+
+    Holds the legal list, name index, core, harness, grammar, mutator
+    and coverage extractor.  Built once per process (see
+    :func:`search_evaluator`): every measurement resets and warms the
+    core and reseeds the harness, so an outcome never depends on what
+    the evaluator measured before.
+    """
+
+    def __init__(self, config: SearchConfig) -> None:
+        self.config = config
+        self.legal = default_cleanup(config.microarch).legal
+        self.by_name = build_name_index(self.legal)
+        self.core = Core(config.processor_model, rng=0)
+        self.harness = ExecutionHarness(self.core, unroll=config.unroll,
+                                        rng=0)
+        self.grammar = GadgetGrammar(
+            self.legal, sequence_length=config.sequence_length,
+            empty_reset_prob=config.empty_reset_prob, rng=0)
+        self.mutator = GadgetMutator(
+            self.legal, max_sequence_length=config.max_sequence_length)
+        self.extractor = CoverageExtractor(self.core.catalog,
+                                           config.event_indices,
+                                           config.thresholds)
+        self._events = np.asarray(config.event_indices, dtype=int)
+
+    def gadget(self, reset, trigger) -> Gadget:
+        """The gadget named by variant-name sequences."""
+        by_name = self.by_name
+        return Gadget(reset=tuple(by_name[n] for n in reset),
+                      trigger=tuple(by_name[n] for n in trigger))
+
+    def measure(self, gadget: Gadget, stream):
+        """Coverage of one screening measurement from the reset state."""
+        self.core.reset_microarch_state()
+        self.harness.warm_measurement_state()
+        self.harness.set_rng(stream)
+        measured = self.harness.screen_measure(gadget, self._events)
+        return self.extractor.extract(measured.signals, measured.deltas)
+
+    def evaluate(self, tasks, cold=()) -> list:
+        """Evaluate one chunk of search tasks.  Pure in (tasks, cold).
+
+        Mirrors ``screen_shard``'s per-gadget discipline: each task gets
+        its own RNG stream, a reset-then-warmed core, and a batched
+        screening measurement, so the outcome is identical no matter
+        which process evaluates the chunk.
+        """
+        config = self.config
+        # Archetype memo scoped to one chunk, exactly as screening
+        # scopes it to one shard: the memo's counters become a pure
+        # function of the chunk, invariant to worker count and process
+        # history.
+        batch.clear_memo()
+        by_name = self.by_name
+        cold_specs = tuple(by_name[name] for name in cold if name in by_name)
+        outcomes = []
+        for task in tasks:
+            if task.kind == "sample":
+                stream = gadget_stream(config.entropy, task.sample_index)
+                gadget = self.grammar.sample(rng=stream)
+            elif task.kind == "probe":
+                gadget = self.gadget(task.parent_reset, task.parent_trigger)
+                stream = derive_stream(config.entropy, "probe",
+                                       task.parent_trigger[0])
+            else:
+                parent = self.gadget(task.parent_reset, task.parent_trigger)
+                stream = mutation_stream(config.entropy, task.round_index,
+                                         task.parent_digest, task.child)
+                gadget = self.mutator.mutate(parent, stream,
+                                             cold=cold_specs)
+            sample = self.measure(gadget, stream)
+            reset = tuple(s.name for s in gadget.reset)
+            trigger = tuple(s.name for s in gadget.trigger)
+            outcomes.append(SearchOutcome(
+                eval_index=task.eval_index, kind=task.kind,
+                parent_digest=task.parent_digest, reset=reset,
+                trigger=trigger, digest=gadget_digest(reset, trigger),
+                features=sample.features, responses=sample.responses,
+                near=sample.near))
+        return outcomes
+
+
+#: One-entry process cache, like ``default_cleanup``'s: pool workers
+#: forked after the parent built it inherit a ready evaluator.
+_EVALUATOR: "SearchEvaluator | None" = None
+
+
+def search_evaluator(config: SearchConfig) -> SearchEvaluator:
+    """This process's evaluator for ``config`` (built on first use)."""
+    global _EVALUATOR
+    if _EVALUATOR is None or _EVALUATOR.config != config:
+        _EVALUATOR = SearchEvaluator(config)
+    return _EVALUATOR
+
+
+def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
+    """Evaluate one chunk of search tasks.  Pure in (config, tasks, cold)."""
+    return search_evaluator(config).evaluate(tasks, cold)
 
 
 def evaluate_search_chunk_traced(config: SearchConfig, tasks, cold=(),
@@ -317,11 +385,7 @@ class CoverageSearch:
         self._round = 0
         self.minimize_evals = 0
 
-        self._legal = None
-        self._by_name = None
-        self._harness = None
-        self._core = None
-        self._extractor = None
+        self._evaluator: "SearchEvaluator | None" = None
         self._probe_queue: "tuple[str, ...] | None" = None
         self._probe_cursor = 0
 
@@ -335,46 +399,30 @@ class CoverageSearch:
 
     # -- lazy parent-side evaluation machinery -------------------------
 
-    def _ensure_local(self) -> None:
-        if self._harness is not None:
-            return
-        self._legal = default_cleanup(self.config.microarch).legal
-        self._by_name = build_name_index(self._legal)
-        self._core = Core(self.config.processor_model, rng=0)
-        self._harness = ExecutionHarness(self._core,
-                                         unroll=self.config.unroll, rng=0)
-        self._extractor = CoverageExtractor(self._core.catalog,
-                                            self.config.event_indices,
-                                            self.config.thresholds)
+    def _ensure_local(self) -> SearchEvaluator:
+        if self._evaluator is not None:
+            return self._evaluator
+        self._evaluator = evaluator = search_evaluator(self.config)
         # Probe order: rarest instruction class first.  Blind sampling
         # is a coupon collector over ~3.4k variants — events gated on a
         # 10-instruction class (prefetch, clflush) take thousands of
         # draws to reach by chance; the directed sweep reaches every
         # member of the small classes within the first few rounds.
         class_sizes: dict = {}
-        for spec in self._legal:
+        for spec in evaluator.legal:
             class_sizes[spec.iclass] = class_sizes.get(spec.iclass, 0) + 1
         self._probe_queue = tuple(spec.name for spec in sorted(
-            self._legal,
+            evaluator.legal,
             key=lambda s: (class_sizes[s.iclass], s.iclass.value, s.name)))
-
-    def _measure_local(self, gadget: Gadget, stream):
-        """One parent-side measurement (minimization trials)."""
-        self._ensure_local()
-        events = np.asarray(self.config.event_indices, dtype=int)
-        self._core.reset_microarch_state()
-        self._harness.warm_measurement_state()
-        self._harness.set_rng(stream)
-        measured = self._harness.screen_measure(gadget, events)
-        return self._extractor.extract(measured.signals, measured.deltas)
+        return evaluator
 
     # -- planning ------------------------------------------------------
 
     def _plan_round(self, remaining: int) -> "tuple[list, tuple]":
         """Plan one round of tasks plus the round's cold-instruction pool."""
-        self._ensure_local()
+        by_name = self._ensure_local().by_name
         cold = tuple(sorted(
-            name for name in self._by_name if name not in self._tried))
+            name for name in by_name if name not in self._tried))
         tasks: list[SearchTask] = []
 
         def sample_task() -> SearchTask:
@@ -439,9 +487,8 @@ class CoverageSearch:
     # -- evaluation ----------------------------------------------------
 
     def _evaluate(self, tasks, cold, executor) -> list:
-        chunk_size = self.config.chunk_size
-        chunks = [tasks[i:i + chunk_size]
-                  for i in range(0, len(tasks), chunk_size)]
+        chunks = [tasks[start:stop] for start, stop
+                  in chunk_bounds(len(tasks), self.config.chunk_size)]
         trace_dir = telemetry.trace_dir()
         trace = str(trace_dir) if trace_dir is not None else None
         labels = [f"{self._round:04d}-{i:03d}" for i in range(len(chunks))]
@@ -470,6 +517,7 @@ class CoverageSearch:
         every feature in ``required``.  Returns the trimmed gadget and
         its coverage sample, or ``None`` if nothing could be dropped.
         """
+        measure = self._ensure_local().measure
         trimmed = gadget
         best_sample = None
         trial = 0
@@ -491,7 +539,7 @@ class CoverageSearch:
                         self.config.entropy, "minimize",
                         gadget_digest(names[0], names[1]), trial)
                     trial += 1
-                    sample = self._measure_local(candidate, stream)
+                    sample = measure(candidate, stream)
                     self._eval_cursor += 1
                     self.minimize_evals += 1
                     if required <= set(sample.features):
@@ -508,6 +556,11 @@ class CoverageSearch:
         return trimmed, best_sample
 
     def _reduce(self, outcomes) -> None:
+        # One memo scope for the round's minimization measurements:
+        # whatever the parent's memo held before (an in-process chunk's
+        # entries, or an earlier round's) would make the parent's
+        # ``batch.*`` counters depend on the worker count.
+        batch.clear_memo()
         admitted_by_parent: dict[str, int] = {}
         for outcome in outcomes:
             self._tried.update(outcome.reset)
@@ -528,10 +581,7 @@ class CoverageSearch:
             near = outcome.near
             if (self.minimize and outcome.kind == "mutate"
                     and len(reset) + len(trigger) > 2):
-                self._ensure_local()
-                gadget = Gadget(
-                    reset=tuple(self._by_name[n] for n in reset),
-                    trigger=tuple(self._by_name[n] for n in trigger))
+                gadget = self._ensure_local().gadget(reset, trigger)
                 shrunk = self._minimize_entry(gadget, set(new))
                 if shrunk is not None:
                     gadget, sample = shrunk
@@ -564,12 +614,10 @@ class CoverageSearch:
         """Record a responding gadget for confirmation-stage replay."""
         if outcome.eval_index in self.gadgets:
             return
-        self._ensure_local()
         self._gadget_names[outcome.eval_index] = (outcome.reset,
                                                   outcome.trigger)
-        self.gadgets[outcome.eval_index] = Gadget(
-            reset=tuple(self._by_name[n] for n in outcome.reset),
-            trigger=tuple(self._by_name[n] for n in outcome.trigger))
+        self.gadgets[outcome.eval_index] = self._ensure_local().gadget(
+            outcome.reset, outcome.trigger)
 
     # -- checkpointing -------------------------------------------------
 
@@ -633,14 +681,12 @@ class CoverageSearch:
         self.scheduler.restore(payload["scheduler"])
         restored = Corpus.from_payload(payload["corpus"])
         self.corpus.entries = restored.entries
-        self._ensure_local()
+        evaluator = self._ensure_local()
         for raw_index, (reset, trigger) in payload["gadget_names"].items():
             index = int(raw_index)
             names = (tuple(reset), tuple(trigger))
             self._gadget_names[index] = names
-            self.gadgets[index] = Gadget(
-                reset=tuple(self._by_name[n] for n in names[0]),
-                trigger=tuple(self._by_name[n] for n in names[1]))
+            self.gadgets[index] = evaluator.gadget(*names)
         # Count (and skip) damaged on-disk corpus entries: a torn entry
         # is a miss, never a crash.
         self.corpus.load()
@@ -665,6 +711,8 @@ class CoverageSearch:
         if self.resume:
             self._load_checkpoint()
         registry = telemetry.metrics()
+        # Built before the pool forks, so workers inherit it.
+        self._ensure_local()
         executor = None
         try:
             if self.workers > 1:
@@ -726,11 +774,10 @@ def blind_search(config: SearchConfig, max_evals: int,
     first_cover: dict[int, int] = {}
     responders: dict[int, list[tuple[int, float]]] = {}
     covered_features = CoverageMap()
-    for start in range(0, max_evals, size):
-        count = min(size, max_evals - start)
-        tasks = [SearchTask(eval_index=start + i, kind="sample",
-                            round_index=0, sample_index=start + i)
-                 for i in range(count)]
+    for start, stop in chunk_bounds(max_evals, size):
+        tasks = [SearchTask(eval_index=index, kind="sample",
+                            round_index=0, sample_index=index)
+                 for index in range(start, stop)]
         for outcome in evaluate_search_chunk(config, tasks):
             covered_features.observe(outcome.features)
             for event, delta in outcome.responses:

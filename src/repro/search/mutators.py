@@ -47,6 +47,12 @@ class GadgetMutator:
             by_extension.setdefault(spec.extension, []).append(spec)
         self._by_extension = {ext: tuple(specs)
                               for ext, specs in by_extension.items()}
+        # Each variant's position in its extension group, so a
+        # substitution skips it without rebuilding the group.
+        self._group_position = {
+            (ext, spec.name): position
+            for ext, specs in self._by_extension.items()
+            for position, spec in enumerate(specs)}
 
     # -- instruction draws ---------------------------------------------
 
@@ -97,12 +103,17 @@ class GadgetMutator:
         side, offset = ((reset, index) if index < len(reset)
                         else (trigger, index - len(reset)))
         current = side[offset]
-        group = [spec for spec in self._by_extension[current.extension]
-                 if spec.name != current.name]
-        if not group:
+        group = self._by_extension[current.extension]
+        # The draw indexes the group without the current variant (a
+        # variant outside the legal list skips nothing).
+        skip = self._group_position.get(
+            (current.extension, current.name), len(group))
+        choices = len(group) - (skip < len(group))
+        if not choices:
             self._swap(reset, trigger, rng, cold)
             return
-        side[offset] = group[int(rng.integers(len(group)))]
+        pick = int(rng.integers(choices))
+        side[offset] = group[pick + (pick >= skip)]
 
     def _splice(self, reset: list, trigger: list, rng, cold) -> None:
         """Exchange reset and trigger roles, or split a long trigger."""

@@ -9,11 +9,17 @@ results, and the blind baseline reproduces campaign screening bit for
 bit.
 """
 
+import dataclasses
+import hashlib
 import json
+import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.fuzzer import CampaignError, FuzzingCampaign
 from repro.core.fuzzer import campaign as campaign_mod
@@ -22,10 +28,18 @@ from repro.core.fuzzer.grammar import (LEGACY_SIGNATURE_LENGTH, Gadget,
                                        normalize_signature)
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.search import (Corpus, CorpusEntry, CoverageMap, CoverageSearch,
-                          FrontierScheduler, SearchError, blind_search,
-                          evals_to_cover, feature_id, gadget_digest)
+from repro.cpu.signals import NUM_SIGNALS, Signal
+from repro.search import (Corpus, CorpusEntry, CoverageExtractor,
+                          CoverageMap, CoverageSample, CoverageSearch,
+                          FrontierScheduler, SearchError, UNIT_OF_SIGNAL,
+                          blind_search, evals_to_cover, feature_id,
+                          gadget_digest)
 from repro.search.corpus import build_name_index
+from repro.search.coverage import (FRONTIER_EVENT, MAX_MAGNITUDE_BUCKET,
+                                   NEAR_MISS_FRACTION)
+from repro.search.engine import (SearchEvaluator, SearchTask, chunk_bounds,
+                                 evaluate_search_chunk, search_evaluator)
+from repro.telemetry import merge_run
 from repro.telemetry import runtime as telemetry
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
@@ -105,6 +119,132 @@ class TestCoverageMap:
         restored = CoverageMap.from_payload(cmap.to_payload())
         assert restored.digest() == cmap.digest()
         assert restored.count(1) == 2
+
+
+# -- coverage extraction --------------------------------------------------
+
+
+def _reference_feature_id(event, unit, bucket):
+    digest = hashlib.sha256(f"{event}|{unit}|{bucket}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _reference_bucket(delta, threshold):
+    if threshold <= 0.0:
+        return 1
+    ratio = max(1.0, delta / threshold)
+    return 1 + min(MAX_MAGNITUDE_BUCKET, int(math.log2(ratio)) // 2)
+
+
+def reference_extract(extractor, signals, deltas):
+    """The per-event loop ``CoverageExtractor.extract`` must match."""
+    unit_of = tuple(UNIT_OF_SIGNAL[Signal(s)]
+                    for s in range(extractor.weights.shape[1]))
+    signals = np.asarray(signals, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    features = set()
+    for unit in {unit_of[s] for s in np.flatnonzero(signals)}:
+        features.add(_reference_feature_id(FRONTIER_EVENT, unit, 0))
+    expected = extractor.weights @ signals
+    responding = np.flatnonzero(deltas > extractor.thresholds)
+    responses = []
+    for j in responding:
+        event = int(extractor.event_indices[j])
+        responses.append((event, float(deltas[j])))
+        sign = 1 if expected[j] >= 0.0 else -1
+        bucket = sign * _reference_bucket(float(deltas[j]),
+                                          float(extractor.thresholds[j]))
+        for s in np.flatnonzero(extractor.weights[j] * signals):
+            features.add(_reference_feature_id(event, unit_of[s], bucket))
+    near_mask = ((deltas <= extractor.thresholds)
+                 & (np.abs(expected) > NEAR_MISS_FRACTION
+                    * np.maximum(extractor.thresholds, 1e-12)))
+    near = tuple(int(extractor.event_indices[j])
+                 for j in np.flatnonzero(near_mask))
+    return CoverageSample(features=tuple(sorted(features)),
+                          responses=tuple(responses), near=near)
+
+
+# Small dyadic weights and signals make exact cancellations (a zero
+# expected response from nonzero products) reachable.
+_WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+                     st.floats(-4.0, 4.0, allow_nan=False))
+_THRESHOLDS = st.one_of(st.just(0.0), st.floats(-8.0, -1e-3),
+                        st.floats(1e-3, 64.0))
+
+
+@st.composite
+def extraction_cases(draw):
+    """(extractor, signals, deltas) with bucket-edge deltas."""
+    count = draw(st.integers(1, 8))
+    weights = np.array(draw(st.lists(
+        st.lists(_WEIGHTS, min_size=NUM_SIGNALS, max_size=NUM_SIGNALS),
+        min_size=count, max_size=count)))
+    thresholds = draw(st.lists(_THRESHOLDS, min_size=count,
+                               max_size=count))
+    extractor = CoverageExtractor(SimpleNamespace(weights=weights),
+                                  tuple(range(count)), thresholds)
+    signals = np.array(draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, 3), st.integers(-3, 400)),
+        min_size=NUM_SIGNALS, max_size=NUM_SIGNALS)))
+    responders = draw(st.sampled_from(("mixed", "none", "all")))
+    deltas = []
+    for threshold in thresholds:
+        # Exactly on a log4 bucket edge, or one float below it.
+        edge = threshold * 4.0 ** draw(st.integers(0, 5))
+        if draw(st.booleans()):
+            edge = float(np.nextafter(edge, -np.inf))
+        if responders == "none":
+            edge = min(edge, threshold)
+        elif responders == "all":
+            edge = max(edge, float(np.nextafter(threshold, np.inf)))
+        deltas.append(edge)
+    return extractor, signals, np.array(deltas)
+
+
+def _cancelling_case():
+    """One responding event whose expected response cancels to 0."""
+    weights = np.zeros((1, NUM_SIGNALS))
+    weights[0, Signal.CYCLES] = 1.0
+    weights[0, Signal.LOADS] = -1.0
+    signals = np.zeros(NUM_SIGNALS, dtype=int)
+    signals[[Signal.CYCLES, Signal.LOADS]] = 2
+    extractor = CoverageExtractor(SimpleNamespace(weights=weights), (0,),
+                                  (1.0,))
+    return extractor, signals, np.array([4.0])
+
+
+class TestCoverageExtractor:
+    @given(case=extraction_cases())
+    @example(case=_cancelling_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_event_loop(self, case):
+        extractor, signals, deltas = case
+        assert extractor.extract(signals, deltas) \
+            == reference_extract(extractor, signals, deltas)
+
+    def test_matches_on_measured_gadgets(self, search_config):
+        # Real catalog weights and real screening measurements.
+        evaluator = SearchEvaluator(search_config)
+        events = np.asarray(search_config.event_indices)
+        extractor = evaluator.extractor
+        for index in range(48):
+            gadget = evaluator.grammar.sample(
+                rng=campaign_mod.gadget_stream(search_config.entropy,
+                                               index))
+            evaluator.core.reset_microarch_state()
+            evaluator.harness.warm_measurement_state()
+            measured = evaluator.harness.screen_measure(gadget, events)
+            assert extractor.extract(measured.signals, measured.deltas) \
+                == reference_extract(extractor, measured.signals,
+                                     measured.deltas)
+
+    def test_feature_id_is_memoized(self):
+        assert feature_id(3, "l1d", -2) == _reference_feature_id(
+            3, "l1d", -2)
+        hits = feature_id.cache_info().hits
+        feature_id(3, "l1d", -2)
+        assert feature_id.cache_info().hits == hits + 1
 
 
 # -- corpus ---------------------------------------------------------------
@@ -317,11 +457,66 @@ class TestCoverageSearch:
             CoverageSearch(search_config, max_evals=81,
                            checkpoint_dir=tmp_path, resume=True).run()
 
+    def test_traced_metrics_are_worker_invariant(self, search_config,
+                                                 tmp_path):
+        # The parent's minimization measurements get one memo scope per
+        # round, so the merged batch counters cannot see whether the
+        # round's chunks ran in-process or on workers.
+        merged = {}
+        for workers in (1, 4):
+            trace_dir = tmp_path / f"trace-{workers}"
+            with telemetry.session(trace_dir=trace_dir, process="main"):
+                CoverageSearch(search_config, max_evals=MAX_EVALS,
+                               workers=workers).run()
+            merge_run(trace_dir)
+            merged[workers] = (trace_dir / "metrics.json").read_bytes()
+        assert merged[1] == merged[4]
+        assert json.loads(merged[1])["counters"]["search.evals"] > 0
+
     def test_rejects_bad_budgets(self, search_config):
         with pytest.raises(SearchError):
             CoverageSearch(search_config, max_evals=0)
         with pytest.raises(SearchError):
             CoverageSearch(search_config, max_evals=10, workers=0)
+
+
+class TestChunking:
+    @pytest.mark.parametrize("count, sizes", [
+        (1, [1]), (41, [41]), (64, [64]), (65, [33, 32]), (80, [40, 40]),
+        (100, [50, 50]), (129, [43, 43, 43])])
+    def test_split_sizes_at_chunk_size_64(self, count, sizes):
+        bounds = chunk_bounds(count, 64)
+        assert [stop - start for start, stop in bounds] == sizes
+
+    @given(count=st.integers(0, 2000), size=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_split_is_contiguous_and_even(self, count, size):
+        bounds = chunk_bounds(count, size)
+        assert len(bounds) == -(-count // size)
+        assert [b[0] for b in bounds[1:]] == [b[1] for b in bounds[:-1]]
+        if bounds:
+            assert bounds[0][0] == 0 and bounds[-1][1] == count
+            sizes = [stop - start for start, stop in bounds]
+            assert max(sizes) <= size
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_evaluator_is_built_once_per_config(self, search_config):
+        evaluator = search_evaluator(search_config)
+        assert search_evaluator(search_config) is evaluator
+        other = search_evaluator(dataclasses.replace(search_config,
+                                                     entropy=1))
+        assert other is not evaluator
+        assert search_evaluator(search_config) is not other
+
+    def test_chunk_outcomes_ignore_evaluator_history(self, search_config):
+        first = [SearchTask(eval_index=i, kind="sample", round_index=0,
+                            sample_index=i) for i in range(24)]
+        second = [SearchTask(eval_index=i, kind="sample", round_index=0,
+                             sample_index=i) for i in range(24, 40)]
+        cold = evaluate_search_chunk(search_config, first)
+        evaluate_search_chunk(search_config, second)
+        assert evaluate_search_chunk(search_config, first) == cold
+        assert SearchEvaluator(search_config).evaluate(first) == cold
 
 
 class TestSearchChaos:

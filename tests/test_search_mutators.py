@@ -9,8 +9,11 @@ lengths within the cap), so mutants satisfy ``repro.isa.legality`` by
 construction.
 """
 
+import hashlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +144,119 @@ class TestLegality:
         for spec in mutant.reset + mutant.trigger:
             assert self.tester.is_legal(spec)
         assert 0.0 < COLD_POOL_BIAS < 1.0
+
+
+# -- extension-preserving substitution -----------------------------------
+
+
+def reference_substitute(self, reset, trigger, rng, cold):
+    """The list-comprehension ``_substitute`` the group table replaced."""
+    total = len(reset) + len(trigger)
+    index = int(rng.integers(total))
+    side, offset = ((reset, index) if index < len(reset)
+                    else (trigger, index - len(reset)))
+    current = side[offset]
+    group = [spec for spec in self._by_extension[current.extension]
+             if spec.name != current.name]
+    if not group:
+        self._swap(reset, trigger, rng, cold)
+        return
+    side[offset] = group[int(rng.integers(len(group)))]
+
+
+class ReferenceMutator(GadgetMutator):
+    _substitute = reference_substitute
+
+
+def _one_member_legal():
+    """LEGAL minus one variant of a two-member extension."""
+    sizes = Counter(spec.extension for spec in LEGAL)
+    pair = min(ext for ext, n in sizes.items() if n == 2)
+    dropped = sorted(s.name for s in LEGAL if s.extension == pair)[0]
+    legal = tuple(s for s in LEGAL if s.name != dropped)
+    lone = next(s for s in legal if s.extension == pair)
+    return legal, lone
+
+
+def mutant_digest(mutator, count=200) -> str:
+    """SHA-256 over ``count`` seeded mutants of deterministic parents."""
+    legal = mutator.legal
+    cold = tuple(legal[-7:])
+    h = hashlib.sha256()
+    for i in range(count):
+        parent = Gadget(
+            reset=tuple(legal[(37 * i + 11 * k) % len(legal)]
+                        for k in range(i % 3)),
+            trigger=tuple(legal[(101 * i + 7 * k) % len(legal)]
+                          for k in range(1 + i % 3)))
+        stream = mutation_stream(23, i // 8, parent.trigger[0].name, i % 8)
+        mutant = mutator.mutate(parent, stream, cold=cold if i % 2 else ())
+        h.update(repr(names(mutant)).encode())
+    return h.hexdigest()
+
+
+#: ``mutant_digest(MUTATOR)`` under the list-comprehension substitution.
+PINNED_MUTANT_DIGEST = ("755e4e013fade81710126dc275883e79"
+                        "d152b3d84049228e3da1a30a20a9e405")
+
+
+class TestSubstitution:
+    @classmethod
+    def setup_class(cls):
+        cls.one_legal, cls.lone = _one_member_legal()
+        rng = np.random.default_rng(2024)
+        cls.parents = []
+        for i in range(50):
+            legal = cls.one_legal
+            picks = [legal[int(j)] for j in rng.integers(len(legal), size=6)]
+            if i % 5 == 0:
+                picks[3] = cls.lone
+            reset = tuple(picks[:int(rng.integers(MAX_LEN + 1))])
+            trigger = tuple(picks[3:4 + int(rng.integers(MAX_LEN))])
+            cls.parents.append(Gadget(reset=reset, trigger=trigger))
+
+    def test_substitute_draws_match_the_reference(self):
+        for legal in (LEGAL, self.one_legal):
+            fast = GadgetMutator(legal, max_sequence_length=MAX_LEN)
+            reference = ReferenceMutator(legal, max_sequence_length=MAX_LEN)
+            cold = tuple(legal[:4])
+            for p, parent in enumerate(self.parents):
+                for child in range(20):
+                    sides = []
+                    for mutator in (fast, reference):
+                        stream = mutation_stream(5, 0, f"p{p}", child)
+                        reset, trigger = (list(parent.reset),
+                                          list(parent.trigger))
+                        mutator._substitute(reset, trigger, stream, cold)
+                        sides.append(([s.name for s in reset],
+                                      [s.name for s in trigger],
+                                      int(stream.integers(2 ** 63))))
+                    assert sides[0] == sides[1]
+
+    def test_mutants_match_the_reference(self):
+        for legal in (LEGAL, self.one_legal):
+            fast = GadgetMutator(legal, max_sequence_length=MAX_LEN)
+            reference = ReferenceMutator(legal, max_sequence_length=MAX_LEN)
+            for p, parent in enumerate(self.parents):
+                for child in range(20):
+                    mutants = [names(mutator.mutate(
+                        parent, mutation_stream(9, 1, f"p{p}", child),
+                        cold=tuple(legal[-5:]) if child % 2 else ()))
+                        for mutator in (fast, reference)]
+                    assert mutants[0] == mutants[1]
+
+    def test_one_member_extension_falls_back_to_swap(self):
+        mutator = GadgetMutator(self.one_legal, max_sequence_length=MAX_LEN)
+        for child in range(20):
+            outcomes = []
+            for operator in (mutator._substitute, mutator._swap):
+                reset, trigger = [], [self.lone]
+                operator(reset, trigger,
+                         mutation_stream(3, 0, "lone", child), ())
+                outcomes.append([s.name for s in trigger])
+            assert outcomes[0] == outcomes[1]
+
+    def test_mutant_digest_is_pinned(self):
+        assert mutant_digest(MUTATOR) == PINNED_MUTANT_DIGEST
+        assert mutant_digest(ReferenceMutator(
+            LEGAL, max_sequence_length=MAX_LEN)) == PINNED_MUTANT_DIGEST
