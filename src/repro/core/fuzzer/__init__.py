@@ -36,7 +36,6 @@ from repro.core.fuzzer.campaign import (
     plan_shards,
     save_shard_checkpoint,
     screen_shard,
-    screen_shard_traced,
 )
 from repro.core.fuzzer.fuzzer import EventFuzzer, FuzzingReport
 
@@ -69,5 +68,4 @@ __all__ = [
     "plan_shards",
     "save_shard_checkpoint",
     "screen_shard",
-    "screen_shard_traced",
 ]

@@ -40,14 +40,13 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from repro.core.fuzzer.cleanup import CleanupReport, InstructionCleaner
-from repro.core.fuzzer.generator import ExecutionHarness
+from repro.core.fuzzer.generator import ExecutionHarness, MeasuredDelta
 from repro.core.fuzzer.grammar import Gadget, GadgetGrammar
 from repro.cpu import batch
 from repro.cpu.core import Core
 from repro.fleet.statefile import write_text_atomic
 from repro.isa.catalog import shared_catalog
 from repro.isa.legality import MICROARCH_PROFILES
-from repro.isa.spec import InstructionSpec
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, corrupt_text
 from repro.resilience.supervisor import (
@@ -55,6 +54,7 @@ from repro.resilience.supervisor import (
     ShardFailure,
     ShardSupervisor,
     SupervisorPolicy,
+    run_task,
 )
 from repro.telemetry import runtime as telemetry
 from repro.utils.digest import config_digest
@@ -153,10 +153,9 @@ def gadget_stream(entropy: int, gadget_index: int) -> np.random.Generator:
 
 # -- per-process caches ---------------------------------------------------
 #
-# Worker processes rebuild the (deterministic) catalog + cleanup once and
-# reuse them for every shard they screen. Under the default fork start
-# method on Linux they inherit the parent's already-populated cache and
-# rebuild nothing.
+# Worker processes build the (deterministic) catalog cleanup and the
+# screening kernel once, or inherit the parent's under the default fork
+# start method on Linux, and reuse them for every task they run.
 
 _CLEANUP_CACHE: dict[str, CleanupReport] = {}
 
@@ -180,19 +179,56 @@ def default_cleanup(microarch_name: str) -> CleanupReport:
     return report
 
 
-def materialize_gadget(config: ShardConfig, gadget_index: int,
-                       legal: list[InstructionSpec] | None = None) -> Gadget:
-    """Re-derive gadget ``gadget_index`` from its RNG stream.
+class ScreeningKernel:
+    """The legal list, core, harness and grammar of one
+    :class:`ShardConfig` — the only place screening builds them.
 
-    Checkpoints store gadget *indices*, not instruction sequences; the
-    gadget is replayed from the same stream the screening stage used,
-    so a resumed campaign confirms exactly the gadgets it screened.
+    Campaign shards and search chunks measure through one per process
+    (:func:`screening_kernel`); each measurement resets and warms the
+    core and reseeds the harness, so history never leaks into a result.
     """
-    if legal is None:
-        legal = default_cleanup(config.microarch).legal
-    grammar = GadgetGrammar(legal, sequence_length=config.sequence_length,
-                            empty_reset_prob=config.empty_reset_prob, rng=0)
-    return grammar.sample(rng=gadget_stream(config.entropy, gadget_index))
+
+    def __init__(self, config: ShardConfig) -> None:
+        self.config = config
+        self.legal = default_cleanup(config.microarch).legal
+        self.core = Core(config.processor_model, rng=0)
+        self.harness = ExecutionHarness(self.core, unroll=config.unroll,
+                                        rng=0)
+        self.grammar = GadgetGrammar(
+            self.legal, sequence_length=config.sequence_length,
+            empty_reset_prob=config.empty_reset_prob, rng=0)
+        self.events = np.asarray(config.event_indices, dtype=int)
+
+    def sample(self, gadget_index: int
+               ) -> "tuple[Gadget, np.random.Generator]":
+        """Gadget ``gadget_index`` and its stream, for :meth:`measure`."""
+        stream = gadget_stream(self.config.entropy, gadget_index)
+        return self.grammar.sample(rng=stream), stream
+
+    def measure(self, gadget: Gadget,
+                stream: np.random.Generator) -> MeasuredDelta:
+        """One screening measurement of ``gadget`` under ``stream``.
+
+        Reset + warm-up put the core in the canonical state, so the
+        batch memo can serve repeat gadget shapes without executing.
+        """
+        self.core.reset_microarch_state()
+        self.harness.warm_measurement_state()
+        self.harness.set_rng(stream)
+        return self.harness.screen_measure(gadget, self.events)
+
+
+#: One-entry process cache, like ``default_cleanup``'s: pool workers
+#: forked after the parent built it inherit a ready kernel.
+_KERNEL: "ScreeningKernel | None" = None
+
+
+def screening_kernel(config: ShardConfig) -> ScreeningKernel:
+    """This process's screening kernel for ``config`` (built on first use)."""
+    global _KERNEL
+    if _KERNEL is None or _KERNEL.config != config:
+        _KERNEL = ScreeningKernel(config)
+    return _KERNEL
 
 
 def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
@@ -206,92 +242,37 @@ def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
     cpu = time.process_time()
     with telemetry.tracer().span("fuzz.screen_shard", shard=shard.index,
                                  start=shard.start, count=shard.count):
-        legal = default_cleanup(config.microarch).legal
-        core = Core(config.processor_model, rng=0)
-        harness = ExecutionHarness(core, unroll=config.unroll, rng=0)
+        kernel = screening_kernel(config)
+        executions = kernel.harness.executions
         # The batch engine's archetype memo is scoped to one shard:
         # clearing here makes every measurement (and the batch.evals /
         # batch.fallback_scalar split) a pure function of the shard,
         # invariant to worker count, scheduling, and process history.
         batch.clear_memo()
-        grammar = GadgetGrammar(
-            legal, sequence_length=config.sequence_length,
-            empty_reset_prob=config.empty_reset_prob, rng=0)
-        events = np.asarray(config.event_indices, dtype=int)
+        events = kernel.events
         thresholds = np.asarray(config.thresholds, dtype=float)
         screened: dict[int, list[tuple[int, float]]] = {
             int(e): [] for e in events}
         candidates = 0
         for gadget_index in range(shard.start, shard.stop):
-            stream = gadget_stream(config.entropy, gadget_index)
-            gadget = grammar.sample(rng=stream)
-            core.reset_microarch_state()
-            harness.warm_measurement_state()
-            harness.set_rng(stream)
-            # Reset + warm-up above put the core in the canonical state,
-            # so the batch engine's archetype memo can serve repeat
-            # gadget shapes without executing (bit-identical to
-            # measure_gadget by the equivalence suite).
-            deltas = harness.screen_measure(gadget, events).deltas
+            gadget, stream = kernel.sample(gadget_index)
+            deltas = kernel.measure(gadget, stream).deltas
             for j in np.flatnonzero(deltas > thresholds):
                 screened[int(events[j])].append(
                     (gadget_index, float(deltas[j])))
                 candidates += 1
+        # The kernel outlives the shard: count this shard's executions.
+        executions = kernel.harness.executions - executions
     registry = telemetry.metrics()
     if registry.enabled:
         registry.counter("fuzz.gadgets_screened").inc(shard.count)
         registry.counter("fuzz.candidates").inc(candidates)
-        registry.counter("fuzz.executions").inc(harness.executions)
+        registry.counter("fuzz.executions").inc(executions)
     return ShardResult(index=shard.index, start=shard.start,
                        count=shard.count, screened=screened,
-                       executions=harness.executions,
+                       executions=executions,
                        elapsed_seconds=time.perf_counter() - wall,
                        cpu_seconds=time.process_time() - cpu)
-
-
-def screen_shard_traced(config: ShardConfig, shard: ShardSpec,
-                        trace_dir: "str | None" = None,
-                        fault_plan: "FaultPlan | None" = None,
-                        attempt: int = 0,
-                        sacrificial: bool = False) -> ShardResult:
-    """Screen one shard under an isolated per-shard telemetry session.
-
-    With a ``trace_dir``, the shard's spans and metrics land in
-    ``trace-shard-NNNNN.jsonl`` / ``metrics-shard-NNNNN.json`` — the
-    same files whether the shard runs in-process or on a pool worker —
-    so the parent's deterministic merge is invariant to worker count.
-
-    With a ``fault_plan``, the plan is armed for the duration of the
-    shard (unless the process already has an armed injector — the
-    in-process path under an ambient chaos session) and the
-    ``campaign.shard`` fault point is hit before screening starts.
-    ``attempt`` is the supervisor's retry counter for this shard —
-    faults with ``times=N`` burn out after N attempts no matter which
-    process runs the retry — and ``sacrificial`` marks pool workers,
-    where ``kill``-mode faults are allowed to take the process down.
-    """
-    needs_faults = fault_plan is not None and not resilience.armed()
-    # Bisected sub-shards (index < 0) and retries get their own
-    # telemetry files, so a failed attempt's fault.* counters survive
-    # the successful retry and the merge stays collision-free.
-    process = (f"shard-{shard.index:05d}" if shard.index >= 0
-               else f"shard-sub-{shard.start:06d}")
-    if attempt:
-        process = f"{process}-r{attempt}"
-    with (resilience.session(fault_plan, sacrificial=sacrificial)
-          if needs_faults else nullcontext()):
-        if trace_dir is None:
-            resilience.check("campaign.shard", key=shard.start,
-                             attempt=attempt,
-                             span=(shard.start, shard.stop))
-            return screen_shard(config, shard)
-        with telemetry.session(trace_dir=trace_dir, process=process):
-            # Inside the session: an injected fault's telemetry is
-            # flushed by the session teardown even when it raises.
-            resilience.check("campaign.shard", key=shard.start,
-                             attempt=attempt,
-                             span=(shard.start, shard.stop))
-            return screen_shard(config, shard)
 
 
 def merge_screened(results: Iterable[ShardResult]
@@ -713,21 +694,27 @@ class FuzzingCampaign:
                                     fuzzer.gadget_budget, fuzzer.shard_size,
                                     len(plan))
 
+        def shard_args(shard: ShardSpec, attempt: int,
+                       sacrificial: bool) -> tuple:
+            # Bisected sub-shards (index < 0) get their own telemetry.
+            label = (f"shard-{shard.index:05d}" if shard.index >= 0
+                     else f"shard-sub-{shard.start:06d}")
+            return (screen_shard, (config, shard), "campaign.shard",
+                    shard.start, label, attempt, sacrificial,
+                    self.fault_plan, shard_trace_dir,
+                    (shard.start, shard.stop))
+
         supervisor = ShardSupervisor(
-            fn=screen_shard_traced,
-            args=lambda shard, attempt, sacrificial: (
-                config, shard, shard_trace_dir, self.fault_plan, attempt,
-                sacrificial),
+            fn=run_task, args=shard_args,
             on_result=lambda result: self._complete(
                 result, checkpoint_dir, fingerprint, results),
             empty_result=lambda shard: ShardResult(
                 index=-1, start=shard.start, count=shard.count,
                 screened={int(e): [] for e in config.event_indices}),
             policy=self.policy, workers=min(self.workers, max(1,
-                                                              len(pending))),
-            fault_plan=self.fault_plan)
+                                                              len(pending))))
         with tracer.span("fuzz.screening", shards=len(plan),
-                         resumed=resumed):
+                         resumed=resumed), supervisor:
             supervised = supervisor.run(pending)
         step_seconds["generation_execution"] = time.perf_counter() - start
 

@@ -17,7 +17,7 @@ same seed at any worker count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -200,23 +200,14 @@ class EventFuzzer:
                       **overrides) -> "SearchConfig":
         """The coverage-search configuration for this fuzzer's events.
 
-        Shares the screening entropy and thresholds with
-        :meth:`shard_config`, so the search's grammar-sample tasks are
-        bit-identical to blind screening of the same indices.
+        :meth:`shard_config` plus the search's own fields, so the
+        search's grammar-sample tasks are bit-identical to blind
+        screening of the same indices.
         """
         from repro.search.engine import SearchConfig
 
-        base = self.shard_config(event_indices)
-        return SearchConfig(
-            processor_model=base.processor_model,
-            microarch=base.microarch,
-            entropy=base.entropy,
-            unroll=base.unroll,
-            sequence_length=base.sequence_length,
-            empty_reset_prob=base.empty_reset_prob,
-            event_indices=base.event_indices,
-            thresholds=base.thresholds,
-            **overrides)
+        return SearchConfig(**asdict(self.shard_config(event_indices)),
+                            **overrides)
 
     def register_gadgets(self, gadgets: "dict[int, Gadget]") -> None:
         """Pre-populate the gadget replay memo (coverage campaigns).

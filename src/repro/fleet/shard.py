@@ -394,17 +394,20 @@ class ShardedFleet:
             child_conn.close()
             procs.append((shard, proc, parent_conn))
         results = {}
+        # One deadline for the whole wave: the shards run concurrently,
+        # so k hung shards cost one timeout, not k of them.
+        deadline = time.monotonic() + self.shard_timeout_s
         for shard, proc, conn in procs:
             message = None
             try:
-                if conn.poll(self.shard_timeout_s):
+                if conn.poll(max(0.0, deadline - time.monotonic())):
                     message = conn.recv()
             except (EOFError, OSError):
                 message = None
             finally:
                 conn.close()
-            proc.join(self.shard_timeout_s)
-            if proc.is_alive():  # pragma: no cover - hung worker
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():  # hung worker
                 proc.terminate()
                 proc.join()
             if message is not None and message[0] == "report":

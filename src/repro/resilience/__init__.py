@@ -6,9 +6,10 @@ Three pillars (DESIGN.md section 9):
   :class:`FaultPlan` arms to raise, hang, corrupt, or kill, with every
   firing decision a pure function of (seed, point, key, attempt) so
   chaos runs are reproducible.
-- :mod:`repro.resilience.supervisor` — the shard supervisor the
-  fuzzing campaign screens through: per-shard timeouts, bounded
-  retries with seeded backoff, poison-shard bisection, quarantine.
+- :mod:`repro.resilience.supervisor` — the shard supervisor campaign
+  shards and coverage-search chunks fan out through: per-shard
+  timeouts, bounded retries with seeded backoff, poison-shard
+  bisection, quarantine.
 - :mod:`repro.resilience.watchdog` — the obfuscator daemon's heartbeat
   watchdog (fail-closed degradation lives with the daemon itself).
 

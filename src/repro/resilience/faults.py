@@ -24,6 +24,10 @@ The instrumented fault points:
                           shard crash; the supervisor reassigns and
                           replays its tenants)
 ``kernel_module.read``    an RDPMC read inside the in-guest kernel module
+``search.chunk``          a coverage-search chunk evaluation (worker side;
+                          key = the chunk's first evaluation index; a
+                          chunk that keeps failing fails the search
+                          closed, never drops evaluations)
 ``search.corpus.write``   a coverage-search corpus entry write (corrupt =
                           damaged on-disk entry; the loader treats it as
                           a miss, never a crash)
@@ -58,7 +62,8 @@ from repro.telemetry import runtime as telemetry
 #: Every site instrumented with :func:`repro.resilience.runtime.check`.
 FAULT_POINTS = ("campaign.shard", "checkpoint.write", "daemon.noise_refill",
                 "fleet.admit", "fleet.policy", "fleet.provision",
-                "fleet.shard", "kernel_module.read", "search.corpus.write")
+                "fleet.shard", "kernel_module.read", "search.chunk",
+                "search.corpus.write")
 
 #: Supported failure modes.
 FAULT_MODES = ("raise", "hang", "corrupt", "kill")
@@ -77,6 +82,13 @@ class InjectedFault(RuntimeError):
         super().__init__(detail)
         self.point = point
         self.key = key
+        self.note = note
+
+    def __reduce__(self):
+        # A raise on a pool worker travels back to the supervisor
+        # pickled: rebuild from the constructor's own arguments, not
+        # from ``args`` (which holds the formatted detail).
+        return type(self), (self.point, self.key, self.note)
 
 
 def _hash01(seed: int, label: str, key: int) -> float:

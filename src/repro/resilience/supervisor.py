@@ -1,7 +1,7 @@
 """The shard supervisor: retries, timeouts, bisection, quarantine.
 
-Wraps the campaign's screening fan-out so worker failures are a
-*degraded state*, not a campaign abort:
+Campaign shards and coverage-search chunks fan out through it, so
+worker failures are a *degraded state*, not an abort:
 
 - every shard failure (raised exception, lost worker process, blown
   per-shard timeout) is retried up to ``max_retries`` times with
@@ -10,17 +10,20 @@ Wraps the campaign's screening fan-out so worker failures are a
 - a shard that exhausts its retries is *bisected*: both halves re-enter
   the queue with a fresh retry budget, converging on the offending
   gadget, which is finally **quarantined** — recorded, reported, and
-  replaced by an empty screening result — instead of poisoning the run;
+  replaced by the caller's empty result (or failing closed, if that
+  raises) — instead of poisoning the run;
 - a ``kill``-mode fault (or any real worker death) breaks the
   ``ProcessPoolExecutor``; the supervisor rebuilds the pool and
   re-queues everything that was in flight, up to ``max_pool_restarts``;
+- the pool lives until :meth:`ShardSupervisor.close`, across runs;
 - ``KeyboardInterrupt``/``SystemExit`` are never treated as shard
   failures: the pool is shut down *without waiting* and the exception
   re-raised immediately, so Ctrl-C still checkpoints promptly.
 
-Screening is pure in ``(config, shard)``, so retries and bisection
-cannot change results — a supervised chaos run merges to the same
-candidate pool as a fault-free run, minus only quarantined gadgets.
+Every attempt runs through :func:`run_task`. Tasks are pure in their
+arguments, so retries and bisection cannot change results — a
+supervised chaos run merges to the same result as a fault-free run,
+minus only quarantined gadgets.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ import math
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, _hash01
 from repro.telemetry import runtime as telemetry
 
@@ -147,14 +152,44 @@ class SupervisorReport:
         return sum(1 for f in self.failures if f.kind == "timeout")
 
 
+def run_task(fn: Callable, args: tuple, point: str, key: int, label: str,
+             attempt: int, sacrificial: bool,
+             fault_plan: "FaultPlan | None" = None,
+             trace_dir: "str | None" = None,
+             span: "tuple[int, int] | None" = None) -> Any:
+    """One supervised task attempt, on a pool worker or in-process.
+
+    1. Arms ``fault_plan``: always on a pool worker (``sacrificial``; a
+       forked worker inherits the parent's non-sacrificial injector,
+       which would demote ``kill`` to ``raise``), in-process only when
+       nothing is armed yet.
+    2. With a ``trace_dir``, opens the task's telemetry session
+       ``label`` (``-rN`` on retry N): the same files in any process.
+    3. Hits ``point`` at ``key`` with the supervisor's ``attempt``.
+    4. Returns ``fn(*args)``.
+    """
+    if attempt:
+        label = f"{label}-r{attempt}"
+    faults = (resilience.session(fault_plan, sacrificial=sacrificial)
+              if fault_plan is not None
+              and (sacrificial or not resilience.armed()) else nullcontext())
+    traced = (telemetry.session(trace_dir=trace_dir, process=label)
+              if trace_dir is not None else nullcontext())
+    with faults, traced:
+        # Inside the session: an injected fault's telemetry is flushed
+        # by the session teardown even when it raises.
+        resilience.check(point, key=key, attempt=attempt, span=span)
+        return fn(*args)
+
+
 class ShardSupervisor:
-    """Supervised execution of shard screening tasks.
+    """Supervised execution of shard-shaped tasks.
 
     Parameters
     ----------
     fn:
-        The picklable top-level screening function
-        (``screen_shard_traced``).
+        The picklable top-level task function; the campaign and the
+        coverage search both pass :func:`run_task`.
     args:
         ``args(shard, attempt, sacrificial) -> tuple`` building the
         picklable argument tuple for one attempt. ``sacrificial`` is
@@ -164,18 +199,17 @@ class ShardSupervisor:
         (checkpointing + bookkeeping in the campaign).
     empty_result:
         ``empty_result(shard) -> result`` standing in for a quarantined
-        single-gadget shard, keeping the merge total.
-    policy / workers / fault_plan:
-        Retry policy, pool width, and the plan shipped to workers (the
-        plan itself travels inside ``args``; it is referenced here only
-        for logging).
+        single-gadget shard, keeping the merge total (or raising, to
+        fail closed).
+    policy / workers:
+        Retry policy and pool width.
     """
 
     def __init__(self, fn: Callable, args: Callable[[Any, int, bool], tuple],
                  on_result: Callable[[Any], None],
                  empty_result: Callable[[Any], Any],
-                 policy: "SupervisorPolicy | None" = None, workers: int = 1,
-                 fault_plan: "FaultPlan | None" = None) -> None:
+                 policy: "SupervisorPolicy | None" = None,
+                 workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.fn = fn
@@ -184,18 +218,34 @@ class ShardSupervisor:
         self.empty_result = empty_result
         self.policy = policy or SupervisorPolicy()
         self.workers = workers
-        self.fault_plan = fault_plan
         self.report = SupervisorReport()
+        self._pool: "ProcessPoolExecutor | None" = None
 
     # -- public entry points -------------------------------------------
 
     def run(self, shards: list) -> SupervisorReport:
-        """Screen every shard to completion (or quarantine)."""
+        """Run every shard to completion (or quarantine).
+
+        Returns this call's report; the pool stays up until :meth:`close`.
+        """
+        self.report = SupervisorReport()
         if self.workers > 1 and len(shards) > 1:
             self._run_pool(list(shards))
         else:
             self._run_inline(list(shards))
         return self.report
+
+    def close(self) -> None:
+        """Shut the worker pool down (a later run builds a new one)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "ShardSupervisor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- in-process mode -----------------------------------------------
 
@@ -217,18 +267,24 @@ class ShardSupervisor:
 
     # -- pool mode -----------------------------------------------------
 
+    def _abandon_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+
     def _run_pool(self, shards: list) -> None:
         queue = [_Pending(shard, 0) for shard in shards]
         inflight: "dict[Any, tuple[_Pending, float]]" = {}
-        pool = ProcessPoolExecutor(max_workers=self.workers)
         try:
             while queue or inflight:
                 now = time.monotonic()
                 ready = [p for p in queue if p.not_before <= now]
                 queue = [p for p in queue if p.not_before > now]
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
                 for item in sorted(ready, key=lambda p: (p.shard.start,
                                                          p.attempt)):
-                    future = pool.submit(
+                    future = self._pool.submit(
                         self.fn, *self.args(item.shard, item.attempt, True))
                     deadline = (now + self.policy.shard_timeout
                                 if self.policy.shard_timeout else math.inf)
@@ -271,7 +327,7 @@ class ShardSupervisor:
                         self._failed(item, kind,
                                      f"{kind} after pool abandon", queue)
                     inflight.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    self._abandon_pool()
                     self.report.pool_restarts += 1
                     registry = telemetry.metrics()
                     if registry.enabled:
@@ -289,14 +345,12 @@ class ShardSupervisor:
                         "(restart %d/%d), %d shard(s) requeued",
                         self.report.pool_restarts,
                         self.policy.max_pool_restarts, len(queue))
-                    pool = ProcessPoolExecutor(max_workers=self.workers)
         except BaseException:
             # Ctrl-C (and any other abort) must not wait for running
             # shards: drop the pool and surface the exception so the
             # campaign's already-checkpointed shards are preserved.
-            pool.shutdown(wait=False, cancel_futures=True)
+            self._abandon_pool()
             raise
-        pool.shutdown()
 
     # -- failure handling ----------------------------------------------
 
@@ -339,6 +393,7 @@ class ShardSupervisor:
             queue.append(_Pending(left, 0))
             queue.append(_Pending(right, 0))
         else:
+            empty = self.empty_result(shard)  # may raise: fail closed
             self.report.quarantined.append(QuarantineRecord(
                 gadget_index=shard.start, attempts=attempt + 1,
                 detail=detail))
@@ -347,4 +402,4 @@ class ShardSupervisor:
             logger.error(
                 "gadget %d quarantined after %d failed attempts (%s); "
                 "continuing without it", shard.start, attempt + 1, detail)
-            self.on_result(self.empty_result(shard))
+            self.on_result(empty)

@@ -17,7 +17,7 @@ from repro.search.coverage import (CoverageExtractor, CoverageMap,
                                    CoverageSample, UNIT_OF_SIGNAL,
                                    feature_id)
 from repro.search.engine import (CoverageSearch, SearchConfig, SearchError,
-                                 SearchResult, blind_search, evals_to_cover)
+                                 SearchResult, evals_to_cover)
 from repro.search.mutators import MUTATION_OPERATORS, GadgetMutator
 from repro.search.scheduler import FrontierScheduler, SeedState
 
@@ -36,7 +36,6 @@ __all__ = [
     "SearchResult",
     "SeedState",
     "UNIT_OF_SIGNAL",
-    "blind_search",
     "evals_to_cover",
     "feature_id",
     "gadget_digest",

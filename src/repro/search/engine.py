@@ -3,19 +3,19 @@
 Structure mirrors the sharded screening campaign: each round plans a
 batch of *evaluation tasks* (grammar samples for exploration, mutants
 of scheduled corpus seeds for exploitation), evaluates them in
-equal-size chunks — in-process or across a worker pool, with identical
-chunk boundaries either way — and reduces the outcomes sequentially in
-plan order.  The evaluation machinery (core, harness, grammar,
-mutator, coverage extractor) is built once per process and
-configuration (:func:`search_evaluator`); the parent builds it before
-the pool forks, so workers inherit it.  Every random draw comes from a
-``derive_stream`` leaf keyed on stable labels (sample index, or
-(round, parent digest, child index)), and the reduction is a pure fold
-over outcomes sorted by evaluation index, so the corpus, coverage map,
-and responder pool are bit-identical for any worker count.
-Grammar-sample tasks reuse the exact per-gadget streams of blind
-screening (``gadget_stream``), so the built-in blind baseline *is* the
-screening campaign's behavior.
+equal-size chunks through the campaign's shard supervisor — in-process
+or on one worker pool per search, with identical chunk boundaries
+either way — and reduces the outcomes sequentially in plan order.
+Measurements go through the campaign's screening kernel; the search
+adds its name index, mutator and coverage extractor
+(:func:`search_evaluator`), built before the pool forks.  Every random
+draw comes from a ``derive_stream`` leaf keyed on stable labels, and
+the reduction is a pure fold over outcomes sorted by evaluation index,
+so the corpus, coverage map, and responder pool are bit-identical for
+any worker count.  Grammar-sample tasks reuse the exact per-gadget
+streams of screening (``gadget_stream``).  A lost worker's chunks are
+retried on a rebuilt pool; a chunk that fails every retry raises
+:class:`SearchError` before its round is reduced or checkpointed.
 
 Checkpoints (one JSON statefile per round, written atomically) carry
 the whole search state — coverage map, scheduler energies, corpus
@@ -27,20 +27,20 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.fuzzer.campaign import default_cleanup, gadget_stream
-from repro.core.fuzzer.generator import ExecutionHarness
-from repro.core.fuzzer.grammar import Gadget, GadgetGrammar
+from repro.core.fuzzer.campaign import (ShardConfig, ShardSpec,
+                                        screening_kernel)
+from repro.core.fuzzer.grammar import Gadget
 from repro.cpu import batch
-from repro.cpu.core import Core
 from repro.fleet.statefile import read_json, write_json_atomic
 from repro.resilience import runtime as resilience
+from repro.resilience.supervisor import (ShardSupervisor, SupervisorPolicy,
+                                         run_task)
 from repro.search.corpus import (Corpus, CorpusEntry, build_name_index,
                                  gadget_digest)
 from repro.search.coverage import CoverageExtractor, CoverageMap
@@ -70,22 +70,10 @@ class SearchError(ValueError):
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Everything a search worker needs, in plain picklable types.
+class SearchConfig(ShardConfig):
+    """A :class:`ShardConfig` plus the search's own fields, so sample
+    tasks reproduce screening bit for bit."""
 
-    The screening fields (entropy, unroll, sequence length, thresholds)
-    mean exactly what they mean in ``ShardConfig`` — sample tasks
-    reproduce blind screening bit for bit.
-    """
-
-    processor_model: str
-    microarch: str
-    entropy: int
-    unroll: int
-    sequence_length: int
-    empty_reset_prob: float
-    event_indices: tuple[int, ...]
-    thresholds: tuple[float, ...]
     max_sequence_length: int = 3
     bootstrap: int = 64
     parents_per_round: int = 8
@@ -159,31 +147,18 @@ def chunk_bounds(count: int, chunk_size: int) -> list[tuple[int, int]]:
 
 
 class SearchEvaluator:
-    """The search's evaluation machinery for one :class:`SearchConfig`.
-
-    Holds the legal list, name index, core, harness, grammar, mutator
-    and coverage extractor.  Built once per process (see
-    :func:`search_evaluator`): every measurement resets and warms the
-    core and reseeds the harness, so an outcome never depends on what
-    the evaluator measured before.
-    """
+    """What the search adds to the process's screening kernel: the name
+    index, the mutator and the coverage extractor."""
 
     def __init__(self, config: SearchConfig) -> None:
         self.config = config
-        self.legal = default_cleanup(config.microarch).legal
-        self.by_name = build_name_index(self.legal)
-        self.core = Core(config.processor_model, rng=0)
-        self.harness = ExecutionHarness(self.core, unroll=config.unroll,
-                                        rng=0)
-        self.grammar = GadgetGrammar(
-            self.legal, sequence_length=config.sequence_length,
-            empty_reset_prob=config.empty_reset_prob, rng=0)
+        self.kernel = kernel = screening_kernel(config)
+        self.by_name = build_name_index(kernel.legal)
         self.mutator = GadgetMutator(
-            self.legal, max_sequence_length=config.max_sequence_length)
-        self.extractor = CoverageExtractor(self.core.catalog,
+            kernel.legal, max_sequence_length=config.max_sequence_length)
+        self.extractor = CoverageExtractor(kernel.core.catalog,
                                            config.event_indices,
                                            config.thresholds)
-        self._events = np.asarray(config.event_indices, dtype=int)
 
     def gadget(self, reset, trigger) -> Gadget:
         """The gadget named by variant-name sequences."""
@@ -193,10 +168,7 @@ class SearchEvaluator:
 
     def measure(self, gadget: Gadget, stream):
         """Coverage of one screening measurement from the reset state."""
-        self.core.reset_microarch_state()
-        self.harness.warm_measurement_state()
-        self.harness.set_rng(stream)
-        measured = self.harness.screen_measure(gadget, self._events)
+        measured = self.kernel.measure(gadget, stream)
         return self.extractor.extract(measured.signals, measured.deltas)
 
     def evaluate(self, tasks, cold=()) -> list:
@@ -218,8 +190,7 @@ class SearchEvaluator:
         outcomes = []
         for task in tasks:
             if task.kind == "sample":
-                stream = gadget_stream(config.entropy, task.sample_index)
-                gadget = self.grammar.sample(rng=stream)
+                gadget, stream = self.kernel.sample(task.sample_index)
             elif task.kind == "probe":
                 gadget = self.gadget(task.parent_reset, task.parent_trigger)
                 stream = derive_stream(config.entropy, "probe",
@@ -242,7 +213,7 @@ class SearchEvaluator:
         return outcomes
 
 
-#: One-entry process cache, like ``default_cleanup``'s: pool workers
+#: One-entry process cache, like the screening kernel's: pool workers
 #: forked after the parent built it inherit a ready evaluator.
 _EVALUATOR: "SearchEvaluator | None" = None
 
@@ -258,24 +229,6 @@ def search_evaluator(config: SearchConfig) -> SearchEvaluator:
 def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
     """Evaluate one chunk of search tasks.  Pure in (config, tasks, cold)."""
     return search_evaluator(config).evaluate(tasks, cold)
-
-
-def evaluate_search_chunk_traced(config: SearchConfig, tasks, cold=(),
-                                 trace_dir: "str | None" = None,
-                                 label: str = "") -> list:
-    """Chunk evaluation under an isolated per-chunk telemetry session.
-
-    With a ``trace_dir``, the chunk's ``batch.*`` counters land in
-    per-chunk files named after the (round, chunk) label — the same
-    files whether the chunk runs in-process or on a pool worker — so
-    merged telemetry stays invariant to worker count, exactly like
-    per-shard screening sessions.
-    """
-    if trace_dir is None:
-        return evaluate_search_chunk(config, tasks, cold)
-    with telemetry.session(trace_dir=trace_dir,
-                           process=f"search-{label}"):
-        return evaluate_search_chunk(config, tasks, cold)
 
 
 def evals_to_cover(first_cover: dict, count: int) -> "int | None":
@@ -295,7 +248,7 @@ def evals_to_cover(first_cover: dict, count: int) -> "int | None":
 
 @dataclass
 class SearchResult:
-    """Everything one coverage-guided (or blind) search produced."""
+    """Everything one coverage-guided search produced."""
 
     evals: int
     rounds: int
@@ -343,7 +296,7 @@ class CoverageSearch:
         Greedy one-pass seed minimization at admission time (drops
         instructions that don't contribute the admitted coverage).
     fault_plan:
-        Optional chaos plan armed for the duration of the search.
+        Optional chaos plan armed for the search and shipped to chunks.
     """
 
     def __init__(self, config: SearchConfig, max_evals: int,
@@ -388,6 +341,7 @@ class CoverageSearch:
         self._evaluator: "SearchEvaluator | None" = None
         self._probe_queue: "tuple[str, ...] | None" = None
         self._probe_cursor = 0
+        self._round_plan: "tuple[list, tuple]" = ([], ())
 
     # -- deterministic identity ----------------------------------------
 
@@ -408,11 +362,12 @@ class CoverageSearch:
         # 10-instruction class (prefetch, clflush) take thousands of
         # draws to reach by chance; the directed sweep reaches every
         # member of the small classes within the first few rounds.
+        legal = evaluator.kernel.legal
         class_sizes: dict = {}
-        for spec in evaluator.legal:
+        for spec in legal:
             class_sizes[spec.iclass] = class_sizes.get(spec.iclass, 0) + 1
         self._probe_queue = tuple(spec.name for spec in sorted(
-            evaluator.legal,
+            legal,
             key=lambda s: (class_sizes[s.iclass], s.iclass.value, s.name)))
         return evaluator
 
@@ -486,25 +441,39 @@ class CoverageSearch:
 
     # -- evaluation ----------------------------------------------------
 
-    def _evaluate(self, tasks, cold, executor) -> list:
-        chunks = [tasks[start:stop] for start, stop
-                  in chunk_bounds(len(tasks), self.config.chunk_size)]
+    def _chunk_args(self, chunk: ShardSpec, attempt: int,
+                    sacrificial: bool) -> tuple:
+        """The supervised task for a chunk (a slice of the round's plan,
+        by evaluation index) of the current round."""
+        tasks, cold = self._round_plan
+        offset = chunk.start - tasks[0].eval_index
+        label = (f"search-{self._round:04d}-{chunk.index:03d}"
+                 if chunk.index >= 0
+                 else f"search-{self._round:04d}-sub-{chunk.start:06d}")
         trace_dir = telemetry.trace_dir()
-        trace = str(trace_dir) if trace_dir is not None else None
-        labels = [f"{self._round:04d}-{i:03d}" for i in range(len(chunks))]
-        if executor is None or len(chunks) == 1:
-            results = [evaluate_search_chunk_traced(self.config, chunk,
-                                                    cold, trace, label)
-                       for chunk, label in zip(chunks, labels)]
-        else:
-            futures = [executor.submit(evaluate_search_chunk_traced,
-                                       self.config, chunk, cold, trace,
-                                       label)
-                       for chunk, label in zip(chunks, labels)]
-            results = [future.result() for future in futures]
-        outcomes = [outcome for chunk in results for outcome in chunk]
-        outcomes.sort(key=lambda o: o.eval_index)
-        return outcomes
+        return (evaluate_search_chunk,
+                (self.config, tasks[offset:offset + chunk.count], cold),
+                "search.chunk", chunk.start, label, attempt, sacrificial,
+                self.fault_plan,
+                str(trace_dir) if trace_dir is not None else None)
+
+    def _chunk_lost(self, chunk: ShardSpec):
+        # Never quarantine: a dropped evaluation changes the trajectory.
+        raise SearchError(f"round {self._round}: evaluation {chunk.start} "
+                          f"failed every retry; not checkpointed")
+
+    def _evaluate(self, tasks, cold, supervisor: ShardSupervisor,
+                  outcomes: list) -> list:
+        """Evaluate one round's plan in supervised chunks, in plan order."""
+        self._round_plan = (tasks, cold)
+        first = tasks[0].eval_index
+        supervisor.run([
+            ShardSpec(index=index, start=first + start, count=stop - start)
+            for index, (start, stop) in enumerate(
+                chunk_bounds(len(tasks), self.config.chunk_size))])
+        evaluated = sorted(outcomes, key=lambda o: o.eval_index)
+        outcomes.clear()
+        return evaluated
 
     # -- reduction -----------------------------------------------------
 
@@ -713,34 +682,34 @@ class CoverageSearch:
         registry = telemetry.metrics()
         # Built before the pool forks, so workers inherit it.
         self._ensure_local()
-        executor = None
-        try:
-            if self.workers > 1:
-                executor = ProcessPoolExecutor(max_workers=self.workers)
-            with telemetry.tracer().span("search.run",
-                                         max_evals=self.max_evals,
-                                         workers=self.workers):
-                while (self._eval_cursor < self.max_evals
-                       and not self._target_reached()):
-                    remaining = self.max_evals - self._eval_cursor
-                    tasks, cold = self._plan_round(remaining)
-                    if not tasks:
-                        break
-                    self._eval_cursor += len(tasks)
-                    outcomes = self._evaluate(tasks, cold, executor)
-                    self._reduce(outcomes)
-                    self._round += 1
-                    if registry.enabled:
-                        registry.counter("search.evals").inc(len(tasks))
-                        registry.counter("search.rounds").inc()
-                        registry.gauge("search.covered_events").set(
-                            len(self.first_cover))
-                        registry.gauge("search.corpus.size").set(
-                            len(self.corpus))
-                    self._save_checkpoint()
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        outcomes: list = []
+        supervisor = ShardSupervisor(
+            fn=run_task, args=self._chunk_args, on_result=outcomes.extend,
+            empty_result=self._chunk_lost,
+            policy=SupervisorPolicy(seed=self.fault_plan.seed
+                                    if self.fault_plan is not None else 0),
+            workers=self.workers)
+        with supervisor, telemetry.tracer().span("search.run",
+                                                 max_evals=self.max_evals,
+                                                 workers=self.workers):
+            while (self._eval_cursor < self.max_evals
+                   and not self._target_reached()):
+                remaining = self.max_evals - self._eval_cursor
+                tasks, cold = self._plan_round(remaining)
+                if not tasks:
+                    break
+                self._eval_cursor += len(tasks)
+                self._reduce(self._evaluate(tasks, cold, supervisor,
+                                            outcomes))
+                self._round += 1
+                if registry.enabled:
+                    registry.counter("search.evals").inc(len(tasks))
+                    registry.counter("search.rounds").inc()
+                    registry.gauge("search.covered_events").set(
+                        len(self.first_cover))
+                    registry.gauge("search.corpus.size").set(
+                        len(self.corpus))
+                self._save_checkpoint()
         return SearchResult(
             evals=self._eval_cursor,
             rounds=self._round,
@@ -758,42 +727,3 @@ class CoverageSearch:
             elapsed_seconds=time.perf_counter() - started,
         )
 
-
-def blind_search(config: SearchConfig, max_evals: int,
-                 chunk_size: "int | None" = None) -> SearchResult:
-    """Blind grammar sampling measured in the search's own currency.
-
-    Evaluates ``max_evals`` grammar samples under the exact per-gadget
-    streams of campaign screening (``gadget_stream``) and records the
-    same first-cover curve a :class:`CoverageSearch` records — the
-    baseline the coverage bench compares against.
-    """
-    if max_evals < 1:
-        raise SearchError(f"max_evals must be >= 1, got {max_evals}")
-    size = chunk_size or config.chunk_size
-    first_cover: dict[int, int] = {}
-    responders: dict[int, list[tuple[int, float]]] = {}
-    covered_features = CoverageMap()
-    for start, stop in chunk_bounds(max_evals, size):
-        tasks = [SearchTask(eval_index=index, kind="sample",
-                            round_index=0, sample_index=index)
-                 for index in range(start, stop)]
-        for outcome in evaluate_search_chunk(config, tasks):
-            covered_features.observe(outcome.features)
-            for event, delta in outcome.responses:
-                responders.setdefault(event, []).append(
-                    (outcome.eval_index, delta))
-                if event not in first_cover:
-                    first_cover[event] = outcome.eval_index + 1
-    return SearchResult(
-        evals=max_evals,
-        rounds=0,
-        covered_events=tuple(sorted(first_cover)),
-        first_cover=first_cover,
-        responders=responders,
-        gadgets={},
-        corpus_size=0,
-        corpus_replay_digest="",
-        coverage_digest=covered_features.digest(),
-        coverage_features=len(covered_features),
-    )

@@ -6,6 +6,7 @@ interrupt/resume schedule must yield the identical report a plain
 sequential :meth:`EventFuzzer.fuzz` produces.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,11 +21,19 @@ from repro.core.fuzzer import (
     save_shard_checkpoint,
     screen_shard,
 )
+from repro.core.fuzzer import campaign as campaign_mod
 from repro.core.fuzzer.campaign import (
     ShardSpec,
     config_fingerprint,
+    screening_kernel,
     shard_checkpoint_path,
 )
+
+#: ``report_digest`` of the ``make_fuzzer`` campaign: every worker
+#: count, and any change to how screening is built or fanned out, must
+#: reproduce it.
+PINNED_REPORT_DIGEST = ("e4a5aad132a61bf54a8242032b6b60dc"
+                        "69153de1fd1ac7e798379b4c1077bfa8")
 
 
 def report_key(report):
@@ -37,6 +46,11 @@ def report_key(report):
         for event, results in report.confirmed_per_event.items()}
     return (covering, confirmed, dict(report.screened_per_event),
             report.gadgets_tested, report.search_space_size)
+
+
+def report_digest(report) -> str:
+    return hashlib.sha256(json.dumps(report_key(report), sort_keys=True)
+                          .encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +75,11 @@ class TestEquivalence:
         report = FuzzingCampaign(make_fuzzer(), workers=4).run(events)
         assert report_key(report) == report_key(baseline)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_digest_pinned(self, make_fuzzer, events, workers):
+        report = FuzzingCampaign(make_fuzzer(), workers=workers).run(events)
+        assert report_digest(report) == PINNED_REPORT_DIGEST
+
     def test_shard_size_invariance(self, make_fuzzer, events, baseline):
         report = make_fuzzer(shard_size=23).fuzz(events)
         assert report_key(report) == report_key(baseline)
@@ -74,6 +93,26 @@ class TestEquivalence:
         forward = [screen_shard(config, s) for s in plan]
         backward = [screen_shard(config, s) for s in reversed(plan)]
         assert merge_screened(forward) == merge_screened(backward)
+
+    def test_reused_kernel_screens_like_a_fresh_one(self, make_fuzzer,
+                                                    events, monkeypatch):
+        """A shard screened after others on one process's kernel equals
+        the same shard on a freshly built kernel, executions included."""
+        fuzzer = make_fuzzer()
+        fuzzer.run_cleanup()
+        config = fuzzer.shard_config(events)
+        first, *others = plan_shards(fuzzer.gadget_budget,
+                                     fuzzer.shard_size)
+        for shard in reversed(others):
+            screen_shard(config, shard)
+        kernel = screening_kernel(config)
+        reused = screen_shard(config, first)
+        assert screening_kernel(config) is kernel
+        monkeypatch.setattr(campaign_mod, "_KERNEL", None)
+        fresh = screen_shard(config, first)
+        assert screening_kernel(config) is not kernel
+        assert reused.screened == fresh.screened
+        assert reused.executions == fresh.executions > 0
 
 
 class TestCheckpoints:

@@ -63,11 +63,12 @@ def baseline(make_fuzzer, events):
 
 
 class TestChaosEquivalence:
-    def test_transient_raises_match_baseline(self, make_fuzzer, events,
-                                             baseline):
+    @staticmethod
+    def check_transient_raises(make_fuzzer, events, baseline, workers):
         plan = chaos_plan(FaultSpec(point="campaign.shard", mode="raise",
                                     probability=0.5, times=1))
-        campaign = FuzzingCampaign(make_fuzzer(), fault_plan=plan,
+        campaign = FuzzingCampaign(make_fuzzer(), workers=workers,
+                                   fault_plan=plan,
                                    supervisor_policy=FAST_POLICY)
         report = campaign.run(events)
         assert report_key(report) == report_key(baseline)
@@ -79,8 +80,23 @@ class TestChaosEquivalence:
         stats = campaign.stats
         assert sorted(f.shard_start for f in stats.shard_failures) \
             == expected
+        assert {f.kind for f in stats.shard_failures} <= {"error"}
         assert stats.retries == len(expected)
+        assert stats.pool_restarts == 0
         assert stats.quarantined == []
+
+    def test_transient_raises_match_baseline(self, make_fuzzer, events,
+                                             baseline):
+        self.check_transient_raises(make_fuzzer, events, baseline,
+                                    workers=1)
+
+    def test_transient_raises_on_pool_workers_match_baseline(
+            self, make_fuzzer, events, baseline):
+        """A raise on a pool worker comes back as its own shard's error:
+        the fault pickles across the pool boundary, so it neither breaks
+        the pool nor fails the shards beside it."""
+        self.check_transient_raises(make_fuzzer, events, baseline,
+                                    workers=2)
 
     def test_corrupt_cache_objects_read_as_misses(self, make_fuzzer, events,
                                                   baseline, tmp_path):

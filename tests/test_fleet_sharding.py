@@ -15,6 +15,7 @@ Three properties carry the sharded design and are pinned here:
 import json
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -330,6 +331,26 @@ class TestShardedFleet:
                              fault_plan=kill_plan())
         assert report.fingerprint() == reference
         assert report.crashes[0]["crashed_shards"] == [0, 1]
+
+    def test_hung_shards_detected_within_one_timeout(self, artifact, specs,
+                                                     reference):
+        # Every shard of the wave hangs far past the timeout; the wave
+        # shares one deadline, so all three are abandoned after one
+        # shard_timeout_s (not one each) and the next generation
+        # replays them clean.
+        plan = FaultPlan.parse(json.dumps({
+            "seed": 3,
+            "faults": [{"point": "fleet.shard", "mode": "hang",
+                        "times": 1, "hang_seconds": 30.0}]}))
+        fleet = ShardedFleet(artifact, shards=3, seed=SEED,
+                             fault_plan=plan, shard_timeout_s=1.0)
+        started = time.perf_counter()
+        report = fleet.run(specs, windows=WINDOWS,
+                           slices_per_window=SLICES, mode="process")
+        elapsed = time.perf_counter() - started
+        assert report.fingerprint() == reference
+        assert [c["crashed_shards"] for c in report.crashes] == [[0, 1, 2]]
+        assert elapsed < 2.5
 
     def test_persistent_crashes_exhaust_generations(self, artifact,
                                                     specs):

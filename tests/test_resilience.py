@@ -7,6 +7,7 @@ emits an un-noised value no matter what the fault plan does to it.
 
 import json
 import os
+import pickle
 import time
 
 import numpy as np
@@ -197,6 +198,14 @@ class TestFaultInjector:
         with pytest.raises(InjectedFault, match="demoted"):
             injector.check("campaign.shard", key=0)
 
+    def test_injected_fault_survives_pickling(self):
+        # A raise on a pool worker reaches the supervisor pickled.
+        fault = pickle.loads(pickle.dumps(
+            InjectedFault("campaign.shard", 40, "note")))
+        assert (fault.point, fault.key) == ("campaign.shard", 40)
+        assert str(fault) == ("injected fault at campaign.shard (key=40): "
+                              "note")
+
     def test_implicit_attempt_burns_out(self):
         injector = FaultInjector(plan(
             FaultSpec(point="checkpoint.write", mode="raise", times=1)))
@@ -310,6 +319,41 @@ class TestShardSupervisorInline:
         assert results == [("empty", 5)]
         assert [q.gadget_index for q in report.quarantined] == [5]
         assert report.quarantined[0].attempts == 1
+
+    def test_each_run_reports_only_its_own_shards(self):
+        def flaky(shard, attempt):
+            if attempt == 0 and shard.start == 0:
+                raise RuntimeError("transient")
+            return ("ok", shard.start)
+
+        supervisor, results = self.make(flaky)
+        assert supervisor.run([ShardSpec(index=0, start=0,
+                                         count=4)]).retries == 1
+        report = supervisor.run([ShardSpec(index=1, start=4, count=4)])
+        assert (report.retries, report.failures) == (0, [])
+        assert results == [("ok", 0), ("ok", 4)]
+
+
+def _shard_start(shard, attempt):
+    return shard.start
+
+
+class TestShardSupervisorPool:
+    def test_pool_outlives_each_run_until_closed(self):
+        results = []
+        shards = [ShardSpec(index=i, start=4 * i, count=4) for i in range(3)]
+        with ShardSupervisor(
+                fn=_shard_start,
+                args=lambda shard, attempt, sacrificial: (shard, attempt),
+                on_result=results.append, empty_result=None,
+                policy=fast_policy(), workers=2) as supervisor:
+            supervisor.run(shards)
+            pool = supervisor._pool
+            assert pool is not None
+            supervisor.run(shards)
+            assert supervisor._pool is pool
+        assert supervisor._pool is None
+        assert sorted(results) == sorted(2 * [0, 4, 8])
 
 
 class TestCheckpointDurability:

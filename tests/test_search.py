@@ -5,8 +5,8 @@ order- and worker-count-invariant (bit-identical replay digests across
 1/4 workers), a checkpointed search resumes into the exact trajectory
 of an uninterrupted one, damaged corpus entries are misses (never
 crashes), the ``search.corpus.write`` chaos point cannot change
-results, and the blind baseline reproduces campaign screening bit for
-bit.
+results, and the search's grammar samples reproduce campaign screening
+bit for bit.
 """
 
 import dataclasses
@@ -21,7 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.fuzzer import CampaignError, FuzzingCampaign
+from repro.core.fuzzer import (CampaignError, FuzzingCampaign, ShardConfig,
+                               merge_screened, plan_shards, screen_shard)
 from repro.core.fuzzer import campaign as campaign_mod
 from repro.core.fuzzer.campaign import default_cleanup
 from repro.core.fuzzer.grammar import (LEGACY_SIGNATURE_LENGTH, Gadget,
@@ -32,12 +33,12 @@ from repro.cpu.signals import NUM_SIGNALS, Signal
 from repro.search import (Corpus, CorpusEntry, CoverageExtractor,
                           CoverageMap, CoverageSample, CoverageSearch,
                           FrontierScheduler, SearchError, UNIT_OF_SIGNAL,
-                          blind_search, evals_to_cover, feature_id,
-                          gadget_digest)
+                          evals_to_cover, feature_id, gadget_digest)
 from repro.search.corpus import build_name_index
 from repro.search.coverage import (FRONTIER_EVENT, MAX_MAGNITUDE_BUCKET,
                                    NEAR_MISS_FRACTION)
-from repro.search.engine import (SearchEvaluator, SearchTask, chunk_bounds,
+from repro.search.engine import (SEARCH_STATE_FILE, SearchEvaluator,
+                                 SearchTask, chunk_bounds,
                                  evaluate_search_chunk, search_evaluator)
 from repro.telemetry import merge_run
 from repro.telemetry import runtime as telemetry
@@ -45,6 +46,18 @@ from repro.telemetry import runtime as telemetry
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
 
 MAX_EVALS = 200
+
+#: ``baseline``'s digests: any worker count, and any fault the
+#: supervisor recovers from, must reproduce them.
+PINNED_REPLAY_DIGEST = ("ead356d5d665c51b503598539284153d"
+                        "0cb1242c311c269d466e27c017980c38")
+PINNED_COVERAGE_DIGEST = ("83a6cccc500983ad0466e696d241d904"
+                          "a0ba7984436e296082ec4ca3e08f6f87")
+
+#: First evaluation of the second chunk of round 1 (``baseline``'s
+#: rounds split 40+40, 35+35, 48): a fault keyed here lands mid-round,
+#: on a pool that is already up.
+MID_ROUND_CHUNK = 115
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +88,11 @@ def result_key(result):
     return (result.corpus_replay_digest, result.coverage_digest,
             result.first_cover, result.responders, result.evals,
             result.rounds)
+
+
+def pinned(result) -> bool:
+    return ((result.corpus_replay_digest, result.coverage_digest)
+            == (PINNED_REPLAY_DIGEST, PINNED_COVERAGE_DIGEST))
 
 
 # -- coverage map ---------------------------------------------------------
@@ -226,15 +244,16 @@ class TestCoverageExtractor:
     def test_matches_on_measured_gadgets(self, search_config):
         # Real catalog weights and real screening measurements.
         evaluator = SearchEvaluator(search_config)
+        kernel = evaluator.kernel
         events = np.asarray(search_config.event_indices)
         extractor = evaluator.extractor
         for index in range(48):
-            gadget = evaluator.grammar.sample(
+            gadget = kernel.grammar.sample(
                 rng=campaign_mod.gadget_stream(search_config.entropy,
                                                index))
-            evaluator.core.reset_microarch_state()
-            evaluator.harness.warm_measurement_state()
-            measured = evaluator.harness.screen_measure(gadget, events)
+            kernel.core.reset_microarch_state()
+            kernel.harness.warm_measurement_state()
+            measured = kernel.harness.screen_measure(gadget, events)
             assert extractor.extract(measured.signals, measured.deltas) \
                 == reference_extract(extractor, measured.signals,
                                      measured.deltas)
@@ -427,6 +446,12 @@ class TestCoverageSearch:
         assert {i: g.name for i, g in result.gadgets.items()} \
             == {i: g.name for i, g in baseline.gadgets.items()}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_digests_pinned(self, search_config, baseline, workers):
+        result = baseline if workers == 1 else CoverageSearch(
+            search_config, max_evals=MAX_EVALS, workers=workers).run()
+        assert pinned(result)
+
     def test_corpus_dir_mirrors_admissions(self, search_config, baseline,
                                            tmp_path):
         result = CoverageSearch(search_config, max_evals=MAX_EVALS,
@@ -553,16 +578,77 @@ class TestSearchChaos:
                 if p.endswith(".tmp")] == []
 
 
+class TestSupervisedChunks:
+    """``search.chunk`` faults: a lost worker is recovered, a chunk
+    that keeps failing fails the search closed."""
+
+    @staticmethod
+    def plan(mode, times):
+        return FaultPlan(seed=CHAOS_SEED, faults=(
+            FaultSpec(point="search.chunk", mode=mode, times=times,
+                      match=(MID_ROUND_CHUNK,)),))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_killed_chunk_recovers_the_pinned_digests(self, search_config,
+                                                      workers):
+        with telemetry.session(trace_dir=None, process="main"):
+            result = CoverageSearch(search_config, max_evals=MAX_EVALS,
+                                    workers=workers,
+                                    fault_plan=self.plan("kill", 1)).run()
+            counters = telemetry.metrics().snapshot()["counters"]
+        assert pinned(result)
+        if workers == 1:
+            # In the search's own process the kill is demoted to a raise.
+            assert counters["retry.failures.error"] == 1
+            assert "retry.pool_restarts" not in counters
+        else:
+            # The worker really died: the pool was rebuilt and the
+            # round's chunks in flight retried.
+            assert counters["retry.pool_restarts"] == 1
+            assert counters["retry.failures.worker-lost"] >= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_persistent_chunk_failure_fails_closed(self, search_config,
+                                                   tmp_path, workers):
+        search = CoverageSearch(search_config, max_evals=MAX_EVALS,
+                                workers=workers, checkpoint_dir=tmp_path,
+                                fault_plan=self.plan("raise", 0))
+        with pytest.raises(SearchError,
+                           match=f"evaluation {MID_ROUND_CHUNK} failed"):
+            search.run()
+        # Round 1 was neither reduced nor checkpointed: round 0's
+        # checkpoint is still the latest, and resuming from it without
+        # the fault lands on the uninterrupted trajectory.
+        state = json.loads((tmp_path / SEARCH_STATE_FILE).read_text(
+            encoding="utf-8"))
+        assert (state["round"], state["eval_cursor"]) == (1, 80)
+        resumed = CoverageSearch(search_config, max_evals=MAX_EVALS,
+                                 workers=workers, checkpoint_dir=tmp_path,
+                                 resume=True).run()
+        assert pinned(resumed)
+
+
 class TestBlindBaseline:
-    def test_blind_search_reproduces_campaign_screening(
-            self, search_config, make_fuzzer, events):
-        report = FuzzingCampaign(make_fuzzer()).run(events)
-        blind = blind_search(search_config, max_evals=160)
-        assert set(blind.first_cover) == set(report.first_responder)
-        for event, gadget_index in report.first_responder.items():
-            assert blind.first_cover[event] == gadget_index + 1
-        assert blind.evals_to_cover(len(blind.first_cover)) \
-            == report.evals_to_cover
+    def test_sample_tasks_match_campaign_screening(self, search_config,
+                                                   make_fuzzer, events):
+        """The blind baseline is the campaign's own screening: a sample
+        task responds exactly where ``screen_shard`` screens a pair."""
+        shard_config = make_fuzzer().shard_config(events)
+        assert ShardConfig(**{
+            field.name: getattr(search_config, field.name)
+            for field in dataclasses.fields(ShardConfig)}) == shard_config
+        tasks = [SearchTask(eval_index=i, kind="sample", round_index=0,
+                            sample_index=i) for i in range(160)]
+        responses: dict = {}
+        for outcome in evaluate_search_chunk(search_config, tasks):
+            for event, delta in outcome.responses:
+                responses.setdefault(event, []).append(
+                    (outcome.eval_index, delta))
+        screened = merge_screened(screen_shard(shard_config, shard)
+                                  for shard in plan_shards(160, 40))
+        assert responses
+        assert responses == {event: pairs
+                             for event, pairs in screened.items() if pairs}
 
     def test_evals_to_cover_semantics(self):
         first_cover = {3: 10, 7: 40, 9: 25}
