@@ -13,10 +13,11 @@ accelerates:
 - **Screening** (one measurement per gadget from the canonical
   reset+warm-up state): the archetype memo serves repeat gadget shapes
   without executing.
-- **Confirmation** (the Fig. 6 repeated-trigger test): each cold or hot
-  path of a candidate runs its ten executions of R bare-body iterations
-  as one ``ExecutionHarness.measure_executions`` call, served by
-  convergence replication through ``Core.execute_signals``.
+- **Confirmation** (the Fig. 6 repeated-trigger test): a candidate's
+  cold and hot paths, ten executions of R bare-body iterations each,
+  are one ``ExecutionHarness.measure_executions`` call: one
+  convergence-replicated ``Core.execute_signals`` submission per path,
+  then one array pass for projection, interference noise and medians.
 
 All paths are proven bit-identical to the scalar interpreter by
 ``tests/test_batch_equivalence.py``; this bench re-asserts identity on

@@ -75,33 +75,23 @@ class GadgetConfirmer:
         self.lambda2 = lambda2
         self._rng = ensure_rng(rng)
 
-    # -- mechanism 1: multiple executions --------------------------------
-
-    def median_delta(self, gadget: Gadget, event_index: int,
-                     cold: bool = False) -> tuple[float, float]:
-        """(median per-iteration delta v, median cumulative delta V).
-
-        One execution repeats the path R times with the counter read
-        between iterations (Fig. 6); v is the median per-iteration
-        change, V the cumulative change. The whole execution is
-        repeated ``executions`` times (mechanism 1) and the medians of
-        v and V across executions are returned.
-        """
-        event = np.array([event_index])
-        body = (list(gadget.reset) if cold
-                else list(gadget.reset) + list(gadget.trigger))
-        per_iteration = self.harness.measure_executions(
-            body, event, self.trigger_repeats, self.executions)[:, :, 0]
-        v_samples = np.median(per_iteration, axis=1)
-        big_v_samples = per_iteration.sum(axis=1)
-        return float(np.median(v_samples)), float(np.median(big_v_samples))
-
-    # -- mechanism 2: repeated triggers -----------------------------------
+    # -- mechanisms 1 and 2: multiple executions, repeated triggers -----
 
     def confirm(self, gadget: Gadget, event_index: int) -> ConfirmationResult:
-        """Cold-vs-hot repeated-trigger validation of one candidate."""
-        v1, big_v1 = self.median_delta(gadget, event_index, cold=True)
-        v2, big_v2 = self.median_delta(gadget, event_index, cold=False)
+        """Cold-vs-hot repeated-trigger validation of one candidate.
+
+        The cold (reset) and hot (reset + trigger) paths run
+        ``executions`` times each (mechanism 1) in one measurement, R
+        iterations per execution (Fig. 6); v and V are the medians over
+        executions of the per-iteration median and the cumulative sum.
+        """
+        reset = list(gadget.reset)
+        measured = self.harness.measure_executions(
+            [reset, reset + list(gadget.trigger)], np.array([event_index]),
+            self.trigger_repeats, self.executions)[..., 0]
+        samples = np.stack([np.median(measured, axis=2),
+                            measured.sum(axis=2)])
+        (v1, v2), (big_v1, big_v2) = np.median(samples, axis=2).tolist()
         r = self.trigger_repeats
         per_iteration = v2 - v1
         expected = r * per_iteration
@@ -142,13 +132,11 @@ class GadgetConfirmer:
         survivors: list[ConfirmationResult] = []
         for i in order:
             candidate = confirmed[int(i)]
-            event = np.array([candidate.event_index])
-            hot = list(candidate.gadget.reset) + list(candidate.gadget.trigger)
-            hot_cumulative = self.harness.measure_executions(
-                hot, event, self.trigger_repeats, 1)[0].sum(axis=0)
-            cold_cumulative = self.harness.measure_executions(
-                list(candidate.gadget.reset), event, self.trigger_repeats,
-                1)[0].sum(axis=0)
+            reset = list(candidate.gadget.reset)
+            hot_cumulative, cold_cumulative = self.harness.measure_executions(
+                [reset + list(candidate.gadget.trigger), reset],
+                np.array([candidate.event_index]), self.trigger_repeats,
+                1)[:, 0].sum(axis=1)
             per_iteration = (hot_cumulative[0] - cold_cumulative[0]) \
                 / self.trigger_repeats
             original = candidate.per_iteration_delta

@@ -144,19 +144,20 @@ class ExecutionHarness:
                 address += 4
         return program
 
-    def measure_executions(self, body: list[InstructionSpec],
+    def measure_executions(self, paths: list[list[InstructionSpec]],
                            event_indices: np.ndarray, iterations: int,
                            executions: int) -> np.ndarray:
-        """Per-iteration deltas of repeated executions (Fig. 6).
+        """Per-iteration deltas of repeated executions of each path (Fig. 6).
 
-        One execution runs the body ``iterations`` times back to back
-        with the counters read between iterations; the ``executions``
-        executions follow each other on the same core
+        One execution runs a path's body ``iterations`` times back to
+        back with the counters read between iterations; a path's
+        ``executions`` executions follow each other on the same core
         (microarchitectural state is deliberately NOT reset — that is
         exactly what the repeated-trigger test exploits), so all
         ``executions * iterations`` bodies form one sequence and run as
-        one batch submission. Returns shape (executions, iterations,
-        E). An empty body measures pure read noise.
+        one batch submission. The paths run in order, each on the core
+        state the previous one left. Returns shape (paths, executions,
+        iterations, E). An empty body measures pure read noise.
         """
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -164,40 +165,49 @@ class ExecutionHarness:
             raise ValueError(f"executions must be >= 1, got {executions}")
         event_indices = np.asarray(event_indices, dtype=int)
         catalog = self.core.catalog
-        noise_abs = catalog.noise_abs[event_indices]
         n_events = len(event_indices)
-        # Each execution draws one root from the harness stream, in
-        # execution order, and takes its interference draws from the
-        # stream derived from that root. Everything downstream is a
-        # pure function of the roots, which is what the pinned-digest
-        # regression test locks down.
-        roots = [int(self._rng.integers(2**63)) for _ in range(executions)]
-        per_iteration = np.zeros((executions, iterations, n_events))
-        if body:
-            program = self.build_program(body, repeats=1,
-                                         include_frame=False)
-            signals = self.core.execute_signals(program,
-                                                executions * iterations)
-            # Detailed-path signals are integer-valued, so the matmul is
-            # exact; each execution keeps the (iterations, S) shape a
-            # single-execution projection has.
-            for j, rows in enumerate(signals.reshape(executions, iterations,
-                                                     -1)):
-                per_iteration[j] = catalog.counts_for(
-                    rows, rng=None, event_indices=event_indices)
+        # One root per execution from the harness stream, in path then
+        # execution order (64-bit bounded draws are unbuffered: one bulk
+        # draw equals one draw at a time); each seeds that execution's
+        # interference stream. Everything downstream is a pure function
+        # of the roots, which the pinned-digest regression tests lock.
+        roots = self._rng.integers(2**63, size=len(paths) * executions)
+        per_iteration = np.zeros((len(paths), executions, iterations,
+                                  n_events))
+        weights_t = catalog.weights[event_indices].T
+        for measured, body in zip(per_iteration, paths):
+            if body:
+                program = self.build_program(body, repeats=1,
+                                             include_frame=False)
+                signals = self.core.execute_signals(program,
+                                                    executions * iterations)
+                # Exact on integer signals; (iterations, S) as counts_for.
+                np.maximum(signals.reshape(executions, iterations, -1)
+                           @ weights_t, 0.0, out=measured)
         # RDPMC reads the register exactly; the non-determinism is rare
         # external interference (residual interrupts on the isolated
         # core) that *adds* counts between reads. This is precisely the
         # disturbance the paper's median-of-multiple-executions step
-        # filters out.
-        interference_prob = 0.03
-        shape = (iterations, n_events)
-        noise_lam = np.broadcast_to(noise_abs, shape)
-        for j, root in enumerate(roots):
-            noise_gen = derive_stream(root, "interference")
-            polluted = noise_gen.random(shape) < interference_prob
-            per_iteration[j] += polluted * noise_gen.poisson(noise_lam)
-        self.executions += executions * iterations
+        # filters out. Numpy draws Poisson values one by one, so a
+        # stream's draws up to its last polluted position are the head
+        # of a full-length draw; a single event takes a scalar lambda.
+        uniforms = np.empty((len(roots), iterations * n_events))
+        streams = [derive_stream(root, "interference")
+                   for root in roots.tolist()]
+        for row, stream in zip(uniforms, streams):
+            stream.random(out=row)
+        polluted = uniforms < 0.03
+        ends = (polluted * np.arange(1, polluted.shape[1] + 1)).max(
+            axis=1, initial=0)
+        noise = np.zeros(polluted.shape, dtype=np.int64)
+        noise_lam = np.tile(catalog.noise_abs[event_indices], iterations)
+        for s in np.flatnonzero(ends).tolist():
+            end = int(ends[s])
+            noise[s, :end] = (streams[s].poisson(noise_lam[0], size=end)
+                              if n_events == 1 else
+                              streams[s].poisson(noise_lam[:end]))
+        per_iteration += (polluted * noise).reshape(per_iteration.shape)
+        self.executions += len(paths) * executions * iterations
         return per_iteration
 
     # -- measurement -----------------------------------------------------
@@ -294,11 +304,6 @@ class ExecutionHarness:
         """Hot path: (reset + trigger) * repeats."""
         return self.measure_body(list(gadget.reset) + list(gadget.trigger),
                                  event_indices, repeats)
-
-    def measure_reset_only(self, gadget: Gadget, event_indices: np.ndarray,
-                           repeats: int | None = None) -> MeasuredDelta:
-        """Cold path: reset * repeats (paper Fig. 6)."""
-        return self.measure_body(list(gadget.reset), event_indices, repeats)
 
     def gadget_signal_profile(self, gadget: Gadget,
                               iterations: int = 8) -> np.ndarray:

@@ -14,7 +14,6 @@ apart from wall-clock values.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,7 +93,7 @@ def merge_run(trace_dir: "str | Path", write: bool = True) -> RunTelemetry:
 
     With ``write=True`` the merged artifacts are persisted as
     ``trace.jsonl`` and ``metrics.json`` in the same directory
-    (atomically, so a crashed merge never leaves half a report).
+    (durably, so a crashed merge never leaves half a report).
     """
     trace_dir = Path(trace_dir)
     spans: list[SpanRecord] = []
@@ -105,17 +104,14 @@ def merge_run(trace_dir: "str | Path", write: bool = True) -> RunTelemetry:
                  for path in per_process_metric_files(trace_dir)]
     merged = RunTelemetry(spans=spans, metrics=merge_snapshots(snapshots))
     if write:
-        trace_path = trace_dir / MERGED_TRACE
-        tmp = trace_path.with_suffix(".jsonl.tmp")
-        tmp.write_text(
-            "".join(json.dumps(s.to_dict()) + "\n" for s in spans),
-            encoding="utf-8")
-        os.replace(tmp, trace_path)
-        metrics_path = trace_dir / MERGED_METRICS
-        tmp = metrics_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(merged.metrics, indent=2, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, metrics_path)
+        # Imported here: the fleet package imports this one.
+        from repro.fleet.statefile import write_text_atomic
+        write_text_atomic(
+            trace_dir / MERGED_TRACE,
+            "".join(json.dumps(s.to_dict()) + "\n" for s in spans))
+        write_text_atomic(
+            trace_dir / MERGED_METRICS,
+            json.dumps(merged.metrics, indent=2, sort_keys=True))
     return merged
 
 

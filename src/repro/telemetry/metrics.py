@@ -12,7 +12,6 @@ merge is invariant to worker count and completion order).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable
 
@@ -186,14 +185,11 @@ class MetricsRegistry:
         }
 
     def write(self, path: "str | Path") -> Path:
-        """Atomically export the snapshot as JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.snapshot(), indent=2, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        """Durably export the snapshot as JSON."""
+        # Imported here: the fleet package imports this one.
+        from repro.fleet.statefile import write_text_atomic
+        return write_text_atomic(
+            path, json.dumps(self.snapshot(), indent=2, sort_keys=True))
 
 
 class NoopMetricsRegistry:

@@ -16,7 +16,6 @@ no-op context manager: zero allocation, safe to leave in hot paths.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,13 +172,10 @@ class Tracer:
                        for r in self.records())
 
     def write(self, path: "str | Path") -> Path:
-        """Atomically export the trace as a JSONL file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(self.to_jsonl(), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        """Durably export the trace as a JSONL file."""
+        # Imported here: the fleet package imports this one.
+        from repro.fleet.statefile import write_text_atomic
+        return write_text_atomic(path, self.to_jsonl())
 
 
 class NoopTracer:

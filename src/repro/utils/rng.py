@@ -9,10 +9,18 @@ not perturb another module's stream.
 from __future__ import annotations
 
 import hashlib
+import operator
+from functools import lru_cache
 
 import numpy as np
 
 RngLike = "int | np.random.Generator | None"
+
+
+@lru_cache(maxsize=256)
+def _hashed_key(text: str) -> int:
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def stream_key(label: "int | str") -> int:
@@ -24,8 +32,15 @@ def stream_key(label: "int | str") -> int:
     """
     if isinstance(label, int):
         return label
-    digest = hashlib.sha256(str(label).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return _hashed_key(str(label))
+
+
+def _words(value: int, count: int) -> bytes:
+    """``value`` as little-endian 32-bit words, at least ``count``."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    return value.to_bytes(4 * max(count, -(-value.bit_length() // 32)),
+                          "little")
 
 
 def derive_stream(entropy: int, *labels: "int | str"
@@ -39,12 +54,16 @@ def derive_stream(entropy: int, *labels: "int | str"
     created. This is what lets a fuzzing campaign re-derive gadget
     *i*'s stream regardless of sharding, and the fleet provisioner
     reproduce tenant T's noise sequence with no other tenant present.
+    It is seeded with the words ``SeedSequence(entropy, spawn_key=...)``
+    assembles (the root's, zero-padded to the pool's 4, then each
+    key's): the same pool and draws, without numpy's per-int parsing.
     """
     if not labels:
         raise ValueError("derive_stream needs at least one label")
-    key = tuple(stream_key(label) for label in labels)
-    seq = np.random.SeedSequence(entropy=entropy, spawn_key=key)
-    return np.random.default_rng(seq)
+    words = [_words(operator.index(entropy), 4)]
+    words.extend(_words(stream_key(label), 1) for label in labels)
+    seq = np.random.SeedSequence(np.frombuffer(b"".join(words), "<u4"))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def ensure_rng(rng: "int | np.random.Generator | None") -> np.random.Generator:

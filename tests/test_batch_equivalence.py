@@ -416,27 +416,44 @@ def test_batch_size_invariance(data):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_fused_executions_equal_sequential(data):
-    """One measure_executions call of n == n calls of one execution:
-    same deltas, same harness stream position, same core state — on
-    both engines."""
-    body = draw_body(data)
+    """One measure_executions call over P paths == P one-path calls ==
+    P x n calls of one execution: same deltas, same harness stream
+    position, same core state and execution count — on both engines."""
+    paths = [draw_body(data) if data.draw(st.integers(0, 3)) else []
+             for _ in range(data.draw(st.integers(1, 3)))]
+    events = np.array(data.draw(st.lists(st.sampled_from(EVENTS.tolist()),
+                                         min_size=1, max_size=3,
+                                         unique=True)))
     iterations = data.draw(st.integers(2, 16))
     executions = data.draw(st.integers(1, 10))
     seed = data.draw(st.integers(0, 2**32 - 1))
     for scalar in (False, True):
-        core_a, core_b = paired_cores(seed)
-        fused_h = ExecutionHarness(core_a, rng=seed)
-        single_h = ExecutionHarness(core_b, rng=seed)
+        cores = [Core(MODEL, rng=np.random.default_rng(seed))
+                 for _ in range(3)]
+        fused_h, path_h, single_h = (ExecutionHarness(core, rng=seed)
+                                     for core in cores)
         with force_scalar(scalar):
-            fused = fused_h.measure_executions(body, EVENTS, iterations,
+            fused = fused_h.measure_executions(paths, events, iterations,
                                                executions)
+            per_path = np.stack([
+                path_h.measure_executions([body], events, iterations,
+                                          executions)[0]
+                for body in paths])
             single = np.stack([
-                single_h.measure_executions(body, EVENTS, iterations, 1)[0]
-                for _ in range(executions)])
+                np.stack([single_h.measure_executions(
+                    [body], events, iterations, 1)[0, 0]
+                    for _ in range(executions)])
+                for body in paths])
+        assert fused.shape == (len(paths), executions, iterations,
+                               len(events))
+        assert np.array_equal(fused, per_path)
         assert np.array_equal(fused, single)
-        assert fused_h._rng.integers(2**63) == single_h._rng.integers(2**63)
-        assert fused_h.executions == single_h.executions
-        assert_state_identical(core_a, core_b)
+        assert len({h._rng.integers(2**63)
+                    for h in (fused_h, path_h, single_h)}) == 1
+        assert fused_h.executions == path_h.executions \
+            == single_h.executions
+        assert_state_identical(cores[0], cores[1])
+        assert_state_identical(cores[0], cores[2])
 
 
 @PROPERTY_SETTINGS

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fuzzer import (
+    EventFuzzer,
     ExecutionHarness,
     Gadget,
     GadgetConfirmer,
@@ -11,6 +12,7 @@ from repro.core.fuzzer import (
     minimal_covering_set,
 )
 from repro.core.fuzzer.confirm import ConfirmationResult
+from repro.utils.rng import derive_stream
 
 
 @pytest.fixture()
@@ -76,17 +78,17 @@ class TestHarness:
                                        amd_catalog):
         event = np.array([amd_catalog.index_of("RETIRED_UOPS")])
         per_iter = harness.measure_executions(
-            [isa_catalog.get("ADD r64,r64")], event, iterations=8,
-            executions=3)
+            [[isa_catalog.get("ADD r64,r64")]], event, iterations=8,
+            executions=3)[0]
         assert per_iter.shape == (3, 8, 1)
         assert harness.executions == 24
 
     def test_measure_executions_validation(self, harness, amd_catalog):
         event = np.array([amd_catalog.index_of("RETIRED_UOPS")])
         with pytest.raises(ValueError):
-            harness.measure_executions([], event, 0, 1)
+            harness.measure_executions([[]], event, 0, 1)
         with pytest.raises(ValueError):
-            harness.measure_executions([], event, 4, 0)
+            harness.measure_executions([[]], event, 4, 0)
 
     def test_measure_iterations_digest_pinned(self, core, isa_catalog,
                                               amd_catalog):
@@ -105,8 +107,8 @@ class TestHarness:
             amd_catalog.index_of("RETIRED_UOPS"),
             amd_catalog.index_of("DATA_CACHE_REFILLS_FROM_SYSTEM")])
         per_iter = harness.measure_executions(
-            [isa_catalog.get("CLFLUSH m8"), isa_catalog.get("MOV r64,m64")],
-            events, 12, 1)[0]
+            [[isa_catalog.get("CLFLUSH m8"), isa_catalog.get("MOV r64,m64")]],
+            events, 12, 1)[0, 0]
         cumulative = per_iter.sum(axis=0)
         digest = hashlib.sha256(
             np.round(per_iter, 6).tobytes()
@@ -116,8 +118,36 @@ class TestHarness:
 
     def test_idle_counter_reads_near_zero(self, harness, amd_catalog):
         event = np.array([amd_catalog.index_of("RETIRED_UOPS")])
-        per_iter = harness.measure_executions([], event, 16, 1)
+        per_iter = harness.measure_executions([[]], event, 16, 1)[0]
         assert abs(per_iter.mean()) < 3.0
+
+    @pytest.mark.parametrize("n_events", [1, 3])
+    def test_noise_matches_per_execution_reference(self, core, amd_catalog,
+                                                   n_events):
+        """Empty paths measure pure interference noise, which must equal
+        the per-execution loop kept here: one root per execution, a
+        full-shape uniform draw, then Poisson over the broadcast lambda.
+        Enough roots that polluted positions fall first, last and
+        nowhere."""
+        events = np.array([10, 400, 900][:n_events])
+        iterations, executions = 16, 150
+        harness = ExecutionHarness(core, rng=3)
+        measured = harness.measure_executions([[], []], events, iterations,
+                                              executions)
+        roots = np.random.default_rng(3)
+        shape = (iterations, n_events)
+        noise_lam = np.broadcast_to(amd_catalog.noise_abs[events], shape)
+        reference, seen = [], np.zeros(3, dtype=bool)
+        for _ in range(2 * executions):
+            noise_gen = derive_stream(int(roots.integers(2**63)),
+                                      "interference")
+            polluted = noise_gen.random(shape) < 0.03
+            reference.append(polluted * noise_gen.poisson(noise_lam))
+            flat = polluted.ravel()
+            seen |= [flat[0], flat[-1], not flat.any()]
+        assert seen.all()  # polluted first, last and nowhere
+        assert np.array_equal(measured.reshape(-1, *shape),
+                              np.stack(reference))
 
     def test_gadget_signal_profile(self, harness, isa_catalog):
         from repro.cpu.signals import Signal
@@ -202,6 +232,45 @@ class TestConfirmer:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == ("0543f04a9885bd0722df7f49ceda3f78"
                           "6bdd325c1a9f8536f88e40ae28038e0f")
+
+    def test_campaign_confirmations_pinned_at_full_precision(
+            self, monkeypatch, amd_catalog):
+        """Every confirm and reorder result of a small campaign, unrounded.
+
+        The campaign digest (``test_campaign.report_key``) rounds deltas
+        and skips rejected candidates and the medians. This pin hashes
+        every field of each ``confirm`` result and each
+        ``reorder_validate`` survivor list, in call order (the constant
+        was computed with one measurement per path and execution).
+        """
+        import hashlib
+        lines = []
+        confirm = GadgetConfirmer.confirm
+        reorder_validate = GadgetConfirmer.reorder_validate
+
+        def spy_confirm(self, gadget, event_index):
+            r = confirm(self, gadget, event_index)
+            lines.append(repr((r.gadget.name, r.event_index, r.confirmed,
+                               r.per_iteration_delta, r.cold_median,
+                               r.hot_median, r.reason)))
+            return r
+
+        def spy_reorder(self, candidates, *args, **kwargs):
+            survivors = reorder_validate(self, candidates, *args, **kwargs)
+            lines.append(repr([s.gadget.name for s in survivors]))
+            return survivors
+
+        monkeypatch.setattr(GadgetConfirmer, "confirm", spy_confirm)
+        monkeypatch.setattr(GadgetConfirmer, "reorder_validate",
+                            spy_reorder)
+        events = np.flatnonzero(amd_catalog.guest_sensitive)[:64]
+        EventFuzzer(gadget_budget=256, shard_size=64, confirm_per_event=8,
+                    rng=11).fuzz(events)
+        assert len(lines) == 160 + 64
+        assert sum(", True, " in line for line in lines) == 30
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ("99e09e32809c0762829e8ac20426991018"
+                          "fb4d5295afee323714282a2ac7098e")
 
     def test_validation(self, harness):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Telemetry subsystem: spans, metrics, ledger, runtime, aggregation."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -264,6 +265,65 @@ def test_merge_run_orders_processes_and_sums_metrics(tmp_path):
     # load_run prefers the merged artifacts and agrees with the merge.
     loaded = telemetry.load_run(tmp_path)
     assert loaded.structural_key() == run.structural_key()
+
+
+# -- durable writers --------------------------------------------------
+
+
+def _write_trace(trace_dir):
+    tracer = telemetry.Tracer(process="main")
+    with tracer.span("aegis.fuzz"):
+        pass
+    tracer.write(trace_dir / "trace-main.jsonl")
+
+
+def _write_metrics(trace_dir):
+    registry = telemetry.MetricsRegistry()
+    registry.counter("n").inc()
+    registry.write(trace_dir / "metrics-main.json")
+
+
+#: Every telemetry writer and the files it writes.
+WRITERS = {
+    "spans": (_write_trace, ["trace-main.jsonl"]),
+    "metrics": (_write_metrics, ["metrics-main.json"]),
+    "merge": (telemetry.merge_run,
+              [telemetry.MERGED_TRACE, telemetry.MERGED_METRICS]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_fsync_what_they_write(tmp_path, monkeypatch, writer):
+    write, names = WRITERS[writer]
+    synced = []
+    fsync = os.fsync
+
+    def spy(fd):
+        synced.append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    write(tmp_path)
+    for name in names:
+        assert (tmp_path / name).stat().st_ino in synced
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path,
+                                                       monkeypatch, writer):
+    write, names = WRITERS[writer]
+    for name in names:
+        (tmp_path / name).write_text("old", encoding="utf-8")
+
+    def replace(src, dst):
+        raise OSError("injected rename failure")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="injected"):
+        write(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_text(encoding="utf-8") == "old"
 
 
 # -- campaign equivalence --------------------------------------------

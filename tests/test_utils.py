@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import SimClock, ensure_rng, require, spawn_rng
+from repro.utils.rng import derive_stream, stream_key
 
 
 class TestEnsureRng:
@@ -43,6 +46,54 @@ class TestSpawnRng:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             spawn_rng(np.random.default_rng(0), 0)
+
+
+def numpy_derivation(entropy, *labels):
+    """The derivation ``derive_stream`` must reproduce, spelled out."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy, spawn_key=tuple(stream_key(label) for label in labels)))
+
+
+#: Entropies at and around every 32-bit word boundary numpy's int
+#: conversion handles, plus the pool-size padding edge (2**128 and up).
+ENTROPIES = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**130]),
+    st.integers(0, 2**70).map(lambda x: 2**64 + x),
+    st.integers(0, 2**63 - 1))
+LABELS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80),
+                   st.sampled_from(["", "interference", "noise", "mix"]),
+                   st.text(max_size=12))
+
+
+class TestDeriveStream:
+    @settings(max_examples=300, deadline=None)
+    @given(entropy=ENTROPIES,
+           labels=st.lists(LABELS, min_size=1, max_size=4))
+    def test_matches_numpy_derivation(self, entropy, labels):
+        ours = derive_stream(entropy, *labels)
+        reference = numpy_derivation(entropy, *labels)
+        assert ours.random(5).tolist() == reference.random(5).tolist()
+        assert ours.integers(2**63, size=3).tolist() \
+            == reference.integers(2**63, size=3).tolist()
+        assert ours.normal(size=4).tolist() \
+            == reference.normal(size=4).tolist()
+        assert ours.poisson(2.5, size=6).tolist() \
+            == reference.poisson(2.5, size=6).tolist()
+
+    def test_rejects_what_numpy_rejects(self):
+        with pytest.raises(ValueError):
+            derive_stream(-1, "noise")
+        with pytest.raises(ValueError):
+            derive_stream(1, -1)
+        with pytest.raises(TypeError):
+            derive_stream(1.5, "noise")
+        with pytest.raises(ValueError):
+            derive_stream(1)
+        for bad in ((-1, "noise"), (1, -1)):
+            with pytest.raises(ValueError):
+                numpy_derivation(*bad)
+        with pytest.raises(TypeError):
+            numpy_derivation(1.5, "noise")
 
 
 class TestSimClock:
