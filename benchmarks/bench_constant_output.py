@@ -29,9 +29,8 @@ def test_constant_output_is_overkill(benchmark):
 
         catalog = processor_catalog("amd-epyc-7252")
         weights = catalog.weights[catalog.index_of(event)]
-        blocks = workload.generate_blocks(
+        matrix = workload.generate_signals(
             "youtube.com", np.random.default_rng(0), WINDOW_S, SLICE_S)
-        matrix = np.stack([b.signals for b in blocks])
         values = matrix @ weights
         peak = float(values.max())
 

@@ -21,9 +21,8 @@ EPSILONS = [2.0 ** k for k in range(3, -4, -1)]
 
 
 def _workload_matrix(workload, secret, rng_seed):
-    blocks = workload.generate_blocks(secret, np.random.default_rng(rng_seed),
-                                      WINDOW_S, SLICE_S)
-    return np.stack([b.signals for b in blocks])
+    return workload.generate_signals(secret, np.random.default_rng(rng_seed),
+                                     WINDOW_S, SLICE_S)
 
 
 @pytest.mark.benchmark(group="fig10")

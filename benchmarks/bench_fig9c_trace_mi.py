@@ -23,9 +23,8 @@ def test_fig9c_clean_vs_noised_mi(benchmark, website_sensitivity):
         rng = np.random.default_rng(31)
         matrices = []
         for _ in range(40):
-            blocks = workload.generate_blocks("google.com", rng,
-                                              WINDOW_S, SLICE_S)
-            matrices.append(np.stack([b.signals for b in blocks]))
+            matrices.append(workload.generate_signals("google.com", rng,
+                                                      WINDOW_S, SLICE_S))
         from repro.cpu.events import processor_catalog
         catalog = processor_catalog("amd-epyc-7252")
         weights = catalog.weights[catalog.index_of("RETIRED_UOPS")]

@@ -26,7 +26,6 @@ CI runner without failing spuriously on smaller boxes.
 import os
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import SMOKE, emit, emit_metrics, once
@@ -63,10 +62,8 @@ def _signal_traces(artifact, specs):
     for spec in specs:
         workload = make_workload(spec.workload)
         rng = derive_stream(SEED, "workload", spec.tenant_id)
-        blocks, _ = workload.generate_blocks_with_phases(
-            workload.secrets[0], rng, SLICES * SLICE_S, SLICE_S)
-        traces[spec.tenant_id] = np.stack(
-            [b.signals for b in blocks])[:SLICES]
+        traces[spec.tenant_id] = workload.generate_signals(
+            workload.secrets[0], rng, SLICES * SLICE_S, SLICE_S)[:SLICES]
     return traces
 
 
@@ -187,8 +184,9 @@ def test_fleet_throughput(benchmark):
 
 SHARD_TENANTS = 64
 SHARD_WINDOWS = 2 if SMOKE else 3
-# Large enough that per-worker fixed costs (fork, report pipe) stay
-# small next to serving, so the efficiency gate measures parallelism.
+# At 4 shards each shard does only tens of ms of work, so per-worker
+# fork and set-up dominate and the efficiency floor measures them more
+# than parallelism; ROADMAP.md item 1 tracks a measured replacement.
 SHARD_SLICES = 500 if SMOKE else 1000
 SHARD_COUNTS = (1, 2, 4)
 MIN_EFFICIENCY = 0.75  # 4-shard speedup / min(4, cores): ≥3x at 4 cores

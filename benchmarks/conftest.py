@@ -127,6 +127,5 @@ def fuzz_report():
 @pytest.fixture(scope="session")
 def clean_google_matrix(website_workload):
     """One clean signal matrix for overhead accounting."""
-    blocks = website_workload.generate_blocks(
+    return website_workload.generate_signals(
         "google.com", np.random.default_rng(0), WINDOW_S, SLICE_S)
-    return np.stack([b.signals for b in blocks])

@@ -55,9 +55,9 @@ def main() -> None:
                                          batch_size=16, rng=2)
     print(f"undefended accuracy: {attack.run(clean).test_accuracy:.1%}")
 
-    blocks = workload.generate_blocks("google.com",
-                                      np.random.default_rng(0), 3.0, 0.01)
-    clean_matrix = np.stack([b.signals for b in blocks])
+    clean_matrix = workload.generate_signals("google.com",
+                                             np.random.default_rng(0), 3.0,
+                                             0.01)
 
     print(f"{'mechanism':<9s} {'eps':>6s} {'accuracy':>9s} "
           f"{'latency':>8s} {'cpu':>7s}")

@@ -135,9 +135,8 @@ class TraceCollector:
                     ) -> "tuple[np.ndarray, list[str]]":
         """Collect one (E, T) trace; also returns per-slice phase names."""
         gen = ensure_rng(rng) if rng is not None else self._rng
-        blocks, phases = self.workload.generate_blocks_with_phases(
-            secret, gen, self.duration_s, self.slice_s)
-        matrix = np.stack([b.signals for b in blocks])  # (T, S)
+        matrix, phases = self.workload.generate_signals_with_phases(
+            secret, gen, self.duration_s, self.slice_s)  # (T, S)
         matrix = self._add_interrupt_noise(matrix, gen)
         if self.obfuscator is not None:
             matrix = self.obfuscator.obfuscate_matrix(matrix, self.slice_s,

@@ -164,9 +164,8 @@ class Aegis:
         labels = []
         for label, secret in enumerate(secrets):
             for _ in range(max(8, self.runs_per_secret)):
-                blocks = self.workload.generate_blocks(
+                matrix = self.workload.generate_signals(
                     secret, self._sens_rng, duration_s=3.0, slice_s=0.01)
-                matrix = np.stack([b.signals for b in blocks])
                 traces.append(matrix @ weights)
                 labels.append(label)
         return estimate_sensitivity(np.stack(traces), np.array(labels))

@@ -104,10 +104,9 @@ class VulnerabilityRanker:
             with tracer.span("profile.rank_secret", secret=label,
                              runs=self.runs_per_secret):
                 for _ in range(self.runs_per_secret):
-                    blocks = self.workload.generate_blocks(
+                    runs.append(self.workload.generate_signals(
                         secret, self._rng, duration_s=self.window_s,
-                        slice_s=self.slice_s)
-                    runs.append(np.stack([b.signals for b in blocks]))
+                        slice_s=self.slice_s))
                     labels.append(label)
                     run_counter.inc()
         return np.stack(runs), np.array(labels)

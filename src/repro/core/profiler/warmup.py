@@ -89,10 +89,9 @@ class WarmupProfiler:
 
     def _active_signals(self, secret, rng: np.random.Generator) -> np.ndarray:
         """Total signals of one application run in the window."""
-        blocks = self.workload.generate_blocks(
+        return self.workload.generate_signals(
             secret, rng, duration_s=self.monitor_window_s,
-            slice_s=self.monitor_window_s / 50)
-        return np.sum([b.signals for b in blocks], axis=0)
+            slice_s=self.monitor_window_s / 50).sum(axis=0)
 
     def _idle_signals(self, rng: np.random.Generator) -> np.ndarray:
         """Total signals of the idle VM in the window."""

@@ -61,14 +61,11 @@ class Cache:
         self.line_size = line_size
         self.num_sets = size_bytes // (ways * line_size)
         self.stats = CacheStats()
-        # Each set is an OrderedDict tag -> dirty flag; order is LRU
-        # (oldest first).
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
-        # Indices of non-empty sets, so reset/snapshot cost scales with
-        # occupancy instead of capacity (the LLC alone has 4096 sets).
-        self._occupied: set[int] = set()
+        # Set index -> OrderedDict tag -> dirty flag, LRU order (oldest
+        # first). Only non-empty sets are held, so building, resetting
+        # and snapshotting a cache cost its occupancy, not its capacity
+        # (the LLC alone has 4096 sets).
+        self._sets: dict[int, OrderedDict[int, bool]] = {}
 
     def _locate(self, address: int) -> tuple[int, int]:
         line = address // self.line_size
@@ -77,7 +74,8 @@ class Cache:
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is currently cached."""
         set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        ways = self._sets.get(set_index)
+        return ways is not None and tag in ways
 
     def access(self, address: int, write: bool = False) -> bool:
         """Access ``address``; returns True on hit.
@@ -87,8 +85,10 @@ class Cache:
         level.
         """
         set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
-        if tag in ways:
+        ways = self._sets.get(set_index)
+        if ways is None:
+            ways = self._sets[set_index] = OrderedDict()
+        elif tag in ways:
             ways.move_to_end(tag)
             if write:
                 ways[tag] = True
@@ -99,28 +99,24 @@ class Cache:
             ways.popitem(last=False)
             self.stats.evictions += 1
         ways[tag] = write
-        self._occupied.add(set_index)
         return False
 
     def flush(self, address: int) -> bool:
         """Evict the line holding ``address``; returns True if present."""
         set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
-        if tag in ways:
-            del ways[tag]
-            self.stats.flushes += 1
-            if not ways:
-                self._occupied.discard(set_index)
-            return True
-        return False
+        ways = self._sets.get(set_index)
+        if ways is None or tag not in ways:
+            return False
+        del ways[tag]
+        self.stats.flushes += 1
+        if not ways:
+            del self._sets[set_index]
+        return True
 
     def flush_all(self) -> None:
         """Invalidate the whole cache (WBINVD-style)."""
-        for set_index in self._occupied:
-            ways = self._sets[set_index]
-            self.stats.flushes += len(ways)
-            ways.clear()
-        self._occupied.clear()
+        self.stats.flushes += self.occupancy
+        self._sets.clear()
 
     def reset(self) -> None:
         """Return the cache to power-on state (no resident lines).
@@ -129,15 +125,13 @@ class Cache:
         is cheap enough to run per measurement: only non-empty sets are
         touched, so the cost scales with occupancy, not capacity.
         """
-        for set_index in self._occupied:
-            self._sets[set_index].clear()
-        self._occupied.clear()
+        self._sets.clear()
         self.stats = CacheStats()
 
     @property
     def occupancy(self) -> int:
         """Number of lines currently resident."""
-        return sum(len(self._sets[i]) for i in self._occupied)
+        return sum(len(ways) for ways in self._sets.values())
 
     def resident_lines(self) -> tuple:
         """Hashable snapshot of resident lines, LRU order preserved.
@@ -146,7 +140,7 @@ class Cache:
         equal snapshots behave identically for every future access.
         """
         return tuple((i, tuple(self._sets[i].items()))
-                     for i in sorted(self._occupied) if self._sets[i])
+                     for i in sorted(self._sets))
 
 
 @dataclass

@@ -7,10 +7,11 @@ Two execution granularities share the signal vocabulary:
   what the Event Fuzzer measures gadgets on: a CLFLUSH really evicts the
   line, so the following load really misses.
 - :meth:`Core.execute_block` — the *aggregate* path. Consumes an
-  :class:`ActivityBlock` (per-slice signal counts emitted by a workload
-  phase program), adds interrupt interference, and advances the HPC
-  register file. Guest applications execute millions of instructions per
-  1 ms sampling slice; this path makes that affordable.
+  :class:`ActivityBlock` (one slice's signal counts, such as a row of a
+  workload's rendered signal matrix), adds interrupt interference, and
+  advances the HPC register file. Guest applications execute millions
+  of instructions per 1 ms sampling slice; this path makes that
+  affordable.
 """
 
 from __future__ import annotations

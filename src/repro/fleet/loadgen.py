@@ -99,10 +99,9 @@ def record_trace(plane: FleetControlPlane, spec: TenantSpec,
     secret = spec.secret if spec.secret is not None \
         else workload.secrets[0]
     rng = derive_stream(plane.seed, "workload", spec.tenant_id)
-    blocks, _ = workload.generate_blocks_with_phases(
-        secret, rng, slices * slice_s, slice_s)
-    signals = np.stack([b.signals for b in blocks])[:slices]
-    return signals @ plane.event_weights
+    signals = workload.generate_signals(secret, rng, slices * slice_s,
+                                        slice_s)
+    return signals[:slices] @ plane.event_weights
 
 
 @dataclass

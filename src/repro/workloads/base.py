@@ -2,8 +2,8 @@
 
 A workload is a *phase program*: a sequence of phases, each with an
 instruction mix (rates of loads, branches, FP ops, miss ratios, ...) and
-a duration. Sampled at the monitor's 1 ms interval it yields a sequence
-of :class:`~repro.cpu.core.ActivityBlock` slices. Per-run randomness
+a duration. Sampled at the monitor's 1 ms interval it yields a
+``(T, NUM_SIGNALS)`` signal matrix, one row per slice. Per-run randomness
 (intensity jitter, duration jitter) produces the Gaussian within-secret
 spread of HPC values the paper observes (Fig. 3), while between-secret
 phase differences carry the information the attacks extract.
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.cpu.core import ActivityBlock
 from repro.cpu.signals import Signal, zero_signals
 from repro.utils.rng import ensure_rng
 
@@ -147,26 +146,18 @@ class PhaseProgram:
         """Nominal (unjittered) program duration."""
         return sum(p.duration_s for p in self.phases)
 
-    def render_blocks(self, duration_s: float, slice_s: float,
-                      rng: np.random.Generator,
-                      baseline: InstructionMix | None = None
-                      ) -> list[ActivityBlock]:
+    def render(self, duration_s: float, slice_s: float,
+               rng: np.random.Generator,
+               baseline: InstructionMix | None = None
+               ) -> tuple[np.ndarray, list[str]]:
         """Render the program into fixed-width sampling slices.
 
-        The program plays from t=0; once it finishes, the baseline
-        (idle) mix fills the remainder of the window. Within a slice the
-        active phase's rate vector is integrated over the overlap, with
+        Returns the ``(T, NUM_SIGNALS)`` signal matrix, one row per
+        slice, and the name of the dominant phase per slice. The program
+        plays from t=0; once it finishes, the baseline (idle) mix fills
+        the remainder of the window. Within a slice every overlapping
+        phase's rate vector is integrated over the overlap, with
         per-slice jitter so no two runs are identical.
-        """
-        blocks, _ = self.render_blocks_with_phases(duration_s, slice_s, rng,
-                                                   baseline)
-        return blocks
-
-    def render_blocks_with_phases(self, duration_s: float, slice_s: float,
-                                  rng: np.random.Generator,
-                                  baseline: InstructionMix | None = None
-                                  ) -> tuple[list[ActivityBlock], list[str]]:
-        """Render slices plus the name of the dominant phase per slice.
 
         The phase labels give ground-truth frame alignment — what an
         attacker who controls the template VM has during offline
@@ -175,44 +166,42 @@ class PhaseProgram:
         """
         if duration_s <= 0 or slice_s <= 0:
             raise ValueError("duration_s and slice_s must be positive")
-        baseline = baseline or idle_mix()
-        baseline_rates = baseline.rate_vector()
         num_slices = int(round(duration_s / slice_s))
-        # Materialize the phase timeline for this run.
-        timeline: list[tuple[float, float, np.ndarray, str]] = []
+        if num_slices < 1:
+            raise ValueError(f"duration_s={duration_s} is shorter than one "
+                             f"slice_s={slice_s}")
+        baseline = baseline or idle_mix()
+        index = np.arange(num_slices)
+        start, end = index * slice_s, (index + 1) * slice_s
+        signals = np.tile(baseline.rate_vector() * slice_s, (num_slices, 1))
+        best_overlap = np.zeros(num_slices)
+        best_phase = np.full(num_slices, len(self.phases))  # the "" label
+        # Play this run's phases in time order, so each slice sums its
+        # phases in the same order as a slice-by-slice walk, and a
+        # strict ``>`` keeps the first of tied overlaps.
         t = 0.0
-        for phase in self.phases:
-            phase_duration = phase.sample_duration(rng)
-            intensity = phase.sample_intensity(rng)
-            rates = phase.mix.rate_vector() * intensity
-            timeline.append((t, t + phase_duration, rates, phase.name))
-            t += phase_duration
-        blocks: list[ActivityBlock] = []
-        labels: list[str] = []
-        cursor = 0  # phases are time-ordered; avoid rescanning from zero
-        for i in range(num_slices):
-            start, end = i * slice_s, (i + 1) * slice_s
-            signals = baseline_rates * slice_s
-            best_overlap = 0.0
-            best_name = ""
-            while cursor < len(timeline) and timeline[cursor][1] <= start:
-                cursor += 1
-            j = cursor
-            while j < len(timeline) and timeline[j][0] < end:
-                ph_start, ph_end, rates, name = timeline[j]
-                overlap = min(end, ph_end) - max(start, ph_start)
-                if overlap > 0:
-                    signals = signals + rates * overlap
-                    if overlap > best_overlap:
-                        best_overlap = overlap
-                        best_name = name
-                j += 1
-            # Per-slice multiplicative jitter: microarchitectural noise
-            # beyond measurement noise (scheduling, frequency wander).
-            signals = signals * max(0.0, rng.normal(1.0, 0.012))
-            blocks.append(ActivityBlock(signals=signals, duration_s=slice_s))
-            labels.append(best_name if best_overlap >= 0.3 * slice_s else "")
-        return blocks, labels
+        for k, phase in enumerate(self.phases):
+            ph_start, ph_end = t, t + phase.sample_duration(rng)
+            rates = phase.mix.rate_vector() * phase.sample_intensity(rng)
+            t = ph_end
+            lo = np.searchsorted(end, ph_start, side="right")
+            hi = np.searchsorted(start, ph_end, side="left")
+            overlap = (np.minimum(end[lo:hi], ph_end)
+                       - np.maximum(start[lo:hi], ph_start))
+            positive = overlap > 0
+            rows = lo + np.flatnonzero(positive)
+            overlap = overlap[positive]
+            signals[rows] = signals[rows] + rates * overlap[:, None]
+            better = overlap > best_overlap[rows]
+            best_overlap[rows[better]] = overlap[better]
+            best_phase[rows[better]] = k
+        best_phase[best_overlap < 0.3 * slice_s] = len(self.phases)
+        names = [phase.name for phase in self.phases] + [""]
+        labels = [names[k] for k in best_phase.tolist()]
+        # Per-slice multiplicative jitter: microarchitectural noise
+        # beyond measurement noise (scheduling, frequency wander).
+        jitter = rng.normal(1.0, 0.012, size=num_slices)
+        return signals * np.maximum(0.0, jitter)[:, None], labels
 
 
 class Workload(abc.ABC):
@@ -231,24 +220,27 @@ class Workload(abc.ABC):
     def program_for(self, secret, rng: np.random.Generator) -> PhaseProgram:
         """Build this run's phase program for ``secret``."""
 
-    def generate_blocks(self, secret, rng: "int | np.random.Generator | None" = None,
-                        duration_s: float | None = None,
-                        slice_s: float | None = None) -> list[ActivityBlock]:
-        """Run the workload once; returns the sampled activity slices."""
-        blocks, _ = self.generate_blocks_with_phases(secret, rng, duration_s,
-                                                     slice_s)
-        return blocks
+    def generate_signals(self, secret,
+                         rng: "int | np.random.Generator | None" = None,
+                         duration_s: float | None = None,
+                         slice_s: float | None = None) -> np.ndarray:
+        """Run the workload once; returns the ``(T, NUM_SIGNALS)``
+        sampled signal matrix."""
+        signals, _ = self.generate_signals_with_phases(secret, rng,
+                                                       duration_s, slice_s)
+        return signals
 
-    def generate_blocks_with_phases(
+    def generate_signals_with_phases(
             self, secret, rng: "int | np.random.Generator | None" = None,
             duration_s: float | None = None, slice_s: float | None = None
-    ) -> tuple[list[ActivityBlock], list[str]]:
-        """Run once; returns (slices, dominant phase name per slice)."""
+    ) -> tuple[np.ndarray, list[str]]:
+        """Run once; returns (signal matrix, dominant phase name per
+        slice)."""
         if secret not in self.secrets:
             raise ValueError(f"unknown secret {secret!r} for {type(self).__name__}")
         gen = ensure_rng(rng)
         program = self.program_for(secret, gen)
-        return program.render_blocks_with_phases(
+        return program.render(
             duration_s if duration_s is not None else self.default_duration_s,
             slice_s if slice_s is not None else self.default_slice_s,
             gen)

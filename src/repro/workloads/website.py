@@ -78,7 +78,8 @@ class WebsiteWorkload(Workload):
         if not sites:
             raise ValueError("sites must be non-empty")
         self._sites = list(sites)
-        self._signatures = {site: self._signature(site) for site in self._sites}
+        # Built on first use: a run touches few of the 45 sites.
+        self._signatures: dict[str, list[Phase]] = {}
 
     @property
     def secrets(self) -> list:
@@ -151,8 +152,8 @@ class WebsiteWorkload(Workload):
         return phases
 
     def program_for(self, secret: str, rng: np.random.Generator) -> PhaseProgram:
-        try:
-            phases = self._signatures[secret]
-        except KeyError as exc:
-            raise ValueError(f"unknown site {secret!r}") from exc
-        return PhaseProgram(phases=list(phases))
+        if secret not in self._signatures:
+            if secret not in self._sites:
+                raise ValueError(f"unknown site {secret!r}")
+            self._signatures[secret] = self._signature(secret)
+        return PhaseProgram(phases=list(self._signatures[secret]))

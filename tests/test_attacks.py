@@ -5,6 +5,8 @@ coarse slices, short training) so the suite stays fast; the full-scale
 numbers live in the benchmarks.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ from repro.attacks.features import (
     downsample_trace,
 )
 from repro.workloads import DnnWorkload, KeystrokeWorkload, WebsiteWorkload
+
+#: SHA-256 over the traces, frame-label bytes and ``repr`` of the frame
+#: classes of three small collected datasets
+#: (``test_collected_datasets_pinned``).
+PINNED_DATASET_DIGEST = ("29c43dd233abae54a277f379887227460"
+                         "268866e893b43179e3e9a6e42bf8658")
 
 
 class TestCollector:
@@ -79,6 +87,27 @@ class TestCollector:
                                    slice_s=0.01, rng=0)
         with pytest.raises(ValueError):
             collector.collect(0)
+
+    def test_window_shorter_than_a_slice_fails_closed(self):
+        collector = TraceCollector(WebsiteWorkload(), duration_s=0.0004,
+                                   slice_s=0.001, rng=0)
+        with pytest.raises(ValueError, match="0.0004.*0.001"):
+            collector.collect_one("google.com")
+
+    def test_collected_datasets_pinned(self):
+        digest = hashlib.sha256()
+        for workload, secrets in (
+                (WebsiteWorkload(), ["google.com", "youtube.com"]),
+                (KeystrokeWorkload(), [0, 5]),
+                (DnnWorkload(), ["alexnet", "resnet18"])):
+            collector = TraceCollector(workload, duration_s=1.0,
+                                       slice_s=0.005, rng=3)
+            dataset = collector.collect(2, secrets=secrets,
+                                        with_frames=True)
+            digest.update(dataset.traces.tobytes())
+            digest.update(dataset.frame_labels.tobytes())
+            digest.update(repr(dataset.frame_classes).encode())
+        assert digest.hexdigest() == PINNED_DATASET_DIGEST
 
 
 class TestFeatures:

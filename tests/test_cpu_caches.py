@@ -1,10 +1,91 @@
 """Tests and property tests for the cache models."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.caches import Cache, CacheHierarchy
+from repro.cpu.caches import Cache, CacheHierarchy, CacheStats
+
+
+class ReferenceCache:
+    """Reference model: every set preallocated as a list entry, plus the
+    index set of non-empty ones. ``Cache`` holds only non-empty sets and
+    must behave identically."""
+
+    def __init__(self, size_bytes, ways, line_size=64):
+        self.ways = ways
+        self.line_size = line_size
+        self.num_sets = size_bytes // (ways * line_size)
+        self.stats = CacheStats()
+        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._occupied = set()
+
+    def _locate(self, address):
+        line = address // self.line_size
+        return line % self.num_sets, line // self.num_sets
+
+    def contains(self, address):
+        set_index, tag = self._locate(address)
+        return tag in self._sets[set_index]
+
+    def access(self, address, write=False):
+        set_index, tag = self._locate(address)
+        ways = self._sets[set_index]
+        if tag in ways:
+            ways.move_to_end(tag)
+            if write:
+                ways[tag] = True
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        if len(ways) >= self.ways:
+            ways.popitem(last=False)
+            self.stats.evictions += 1
+        ways[tag] = write
+        self._occupied.add(set_index)
+        return False
+
+    def flush(self, address):
+        set_index, tag = self._locate(address)
+        ways = self._sets[set_index]
+        if tag in ways:
+            del ways[tag]
+            self.stats.flushes += 1
+            if not ways:
+                self._occupied.discard(set_index)
+            return True
+        return False
+
+    def flush_all(self):
+        for set_index in self._occupied:
+            ways = self._sets[set_index]
+            self.stats.flushes += len(ways)
+            ways.clear()
+        self._occupied.clear()
+
+    def reset(self):
+        for set_index in self._occupied:
+            self._sets[set_index].clear()
+        self._occupied.clear()
+        self.stats = CacheStats()
+
+    @property
+    def occupancy(self):
+        return sum(len(self._sets[i]) for i in self._occupied)
+
+    def resident_lines(self):
+        return tuple((i, tuple(self._sets[i].items()))
+                     for i in sorted(self._occupied) if self._sets[i])
+
+
+#: Four 2-way sets; lines 0..31 put eight lines on each set, so random
+#: access streams evict.
+cache_ops = st.lists(st.tuples(
+    st.sampled_from(["read", "write", "flush", "contains", "flush_all",
+                     "reset"]),
+    st.integers(0, 31).map(lambda line: line * 64)), max_size=120)
 
 
 class TestCacheBasics:
@@ -89,6 +170,27 @@ class TestCacheProperties:
             cache.access(address)
         cache.flush(victim)
         assert not cache.contains(victim)
+
+
+class TestCacheMatchesReference:
+    @given(ops=cache_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_same_results_stats_and_lines(self, ops):
+        cache = Cache(4 * 2 * 64, ways=2)
+        reference = ReferenceCache(4 * 2 * 64, ways=2)
+        for op, address in ops:
+            if op in ("read", "write"):
+                result = (cache.access(address, write=op == "write"),
+                          reference.access(address, write=op == "write"))
+            elif op in ("flush", "contains"):
+                result = (getattr(cache, op)(address),
+                          getattr(reference, op)(address))
+            else:
+                result = (getattr(cache, op)(), getattr(reference, op)())
+            assert result[0] == result[1]
+            assert cache.stats == reference.stats
+            assert cache.occupancy == reference.occupancy
+            assert cache.resident_lines() == reference.resident_lines()
 
 
 class TestHierarchy:

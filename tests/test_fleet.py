@@ -9,6 +9,7 @@ retry-absorbed provisioning faults, and regardless of which other
 tenants share the fleet.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -38,6 +39,12 @@ from repro.fleet import (
 )
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan
+
+#: SHA-256 over the ``record_trace`` bytes of two tenants of every
+#: workload kind (see ``test_recorded_traces_pinned``): any change to
+#: how a workload renders must reproduce it.
+PINNED_TRACE_DIGEST = ("e91efa02302b73071f7e2789ef8cf97c"
+                       "599ce0d16b91efd9df0cef1605e8eb5d")
 
 PROVISION_FAULT_ONCE = FaultPlan.parse(
     '{"seed": 9, "faults": '
@@ -421,6 +428,17 @@ class TestLoadGenerator:
         second = record_trace(small_plane(), spec, 40)
         assert first.shape == (40, 4)
         assert np.array_equal(first, second)
+
+    def test_recorded_traces_pinned(self):
+        plane = FleetControlPlane(default_artifact("amd-epyc-7252"), seed=7)
+        digest = hashlib.sha256()
+        for kind in ("website", "keystroke", "dnn", "rsa"):
+            for i in (0, 1):
+                spec = TenantSpec(f"{kind}{i}", workload=kind)
+                plane.admit_tenant(spec)
+                digest.update(record_trace(plane, spec, 500).tobytes())
+        plane.close()
+        assert digest.hexdigest() == PINNED_TRACE_DIGEST
 
     def test_report_accounting_adds_up(self):
         report = replay(small_plane(), default_specs(2), windows=2,

@@ -12,6 +12,7 @@ Three properties carry the sharded design and are pinned here:
   event-driven tick only visits due tenants without changing a digest.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -46,6 +47,11 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
 SEED = 11
 WINDOWS = 2
 SLICES = 60
+
+#: SHA-256 of the sorted-key JSON fingerprint of an 8-tenant, 2-shard
+#: inline run at seed 7 (``test_fingerprint_pinned``).
+PINNED_FINGERPRINT_DIGEST = ("40c3423ba10d68987db49bd56fe5a5a1"
+                             "46f49f62c121829e75bf0f3f44470bff")
 
 tenant_ids = st.lists(
     st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=8),
@@ -259,6 +265,15 @@ class TestEventDrivenTick:
 
 
 class TestShardedFleet:
+    def test_fingerprint_pinned(self):
+        fleet = ShardedFleet(default_artifact("amd-epyc-7252"), shards=2,
+                             seed=7)
+        report = fleet.run(default_specs(8), windows=3,
+                           slices_per_window=200, mode="inline")
+        fingerprint = json.dumps(report.fingerprint(), sort_keys=True)
+        assert (hashlib.sha256(fingerprint.encode()).hexdigest()
+                == PINNED_FINGERPRINT_DIGEST)
+
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_inline_digests_match_the_unsharded_fleet(
             self, artifact, specs, reference, shards):

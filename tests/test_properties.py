@@ -149,19 +149,19 @@ class TestWorkloadDeterminism:
     def test_same_rng_same_trace(self):
         from repro.workloads import WebsiteWorkload
         workload = WebsiteWorkload()
-        a = workload.generate_blocks("google.com", np.random.default_rng(5),
-                                     duration_s=0.5, slice_s=0.01)
-        b = workload.generate_blocks("google.com", np.random.default_rng(5),
-                                     duration_s=0.5, slice_s=0.01)
-        assert all(np.allclose(x.signals, y.signals)
+        a = workload.generate_signals("google.com", np.random.default_rng(5),
+                                      duration_s=0.5, slice_s=0.01)
+        b = workload.generate_signals("google.com", np.random.default_rng(5),
+                                      duration_s=0.5, slice_s=0.01)
+        assert all(np.allclose(x, y)
                    for x, y in zip(a, b))
 
     def test_different_rng_different_trace(self):
         from repro.workloads import WebsiteWorkload
         workload = WebsiteWorkload()
-        a = workload.generate_blocks("google.com", np.random.default_rng(5),
-                                     duration_s=0.5, slice_s=0.01)
-        b = workload.generate_blocks("google.com", np.random.default_rng(6),
-                                     duration_s=0.5, slice_s=0.01)
-        assert not all(np.allclose(x.signals, y.signals)
+        a = workload.generate_signals("google.com", np.random.default_rng(5),
+                                      duration_s=0.5, slice_s=0.01)
+        b = workload.generate_signals("google.com", np.random.default_rng(6),
+                                      duration_s=0.5, slice_s=0.01)
+        assert not all(np.allclose(x, y)
                        for x, y in zip(a, b))
