@@ -823,8 +823,7 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
         for row in sharding["per_shard"]:
             _say(f"  shard {row['shard_id']} gen {row['generation']}: "
                  f"{len(row['tenants'])} tenants, "
-                 f"{row['served_windows']} windows, "
-                 f"{row['plan_segments']} shared plan segment(s)")
+                 f"{row['served_windows']} windows")
     return _health_exit(status)
 
 

@@ -224,11 +224,6 @@ class NoiseInjector:
         """Mean reference counts per repetition across components."""
         return float(self._component_reference_counts.mean())
 
-    @property
-    def cycles_per_rep(self) -> float:
-        """Mean cycle cost per repetition across components."""
-        return float(self._component_cycles.mean())
-
     def inject(self, matrix: np.ndarray, noise_counts: np.ndarray
                ) -> tuple[np.ndarray, InjectionReport]:
         """Add gadget repetitions realizing ``noise_counts`` per slice.

@@ -185,16 +185,3 @@ class EventObfuscator:
         """Clear accumulated injection accounting."""
         self.reports.clear()
         self.last_report = None
-
-    def mean_latency_overhead(self, app_cycles_per_window: np.ndarray,
-                              active_masks: "list[np.ndarray] | None" = None
-                              ) -> float:
-        """Average latency overhead across the recorded windows."""
-        if not self.reports:
-            return 0.0
-        overheads = []
-        for i, report in enumerate(self.reports):
-            mask = active_masks[i] if active_masks is not None else None
-            overheads.append(report.latency_overhead(
-                app_cycles_per_window[i], active_mask=mask))
-        return float(np.mean(overheads))

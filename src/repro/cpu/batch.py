@@ -31,11 +31,6 @@ chaos-equivalence suites depend on. Three mechanisms, all exact:
   deltas are applied arithmetically (all integers, so ``k`` scalar
   additions equal one ``delta * k``).
 
-Aggregate :class:`ActivityBlock` batches vectorize the interrupt
-arrival draws and signal adjustments (:func:`execute_blocks`); the HPC
-register-file accumulation stays per-block because its noise draws and
-float fold order must match the scalar path bit for bit.
-
 Set ``REPRO_BATCH_DISABLE=1`` (or :data:`FORCE_SCALAR`) to route every
 entry point through the scalar interpreter — the differential test
 suite A/Bs the two paths this way.
@@ -54,7 +49,7 @@ from repro.isa.spec import InstructionClass, InstructionSpec, Program
 from repro.telemetry import runtime as telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
-    from repro.cpu.core import ActivityBlock, Core, ExecutionResult
+    from repro.cpu.core import Core, ExecutionResult
 
 #: Environment switch that forces the scalar interpreter everywhere.
 DISABLE_ENV = "REPRO_BATCH_DISABLE"
@@ -617,53 +612,3 @@ def execute_signals(core: "Core", program: Program,
     if replicas:
         matrix[len(executed):] = executed[-1].signals
     return matrix
-
-
-# -- aggregate block batches ----------------------------------------------
-
-
-def execute_blocks(core: "Core", blocks: "Iterable[ActivityBlock]",
-                   noisy: bool = True) -> "list[np.ndarray]":
-    """Batched :meth:`Core.execute_block`, bit-identical to the loop.
-
-    Interrupt arrival draws and the interference/cycle adjustments are
-    vectorized across the batch (batched ``Generator.poisson`` over the
-    positive-rate entries consumes the stream exactly like the scalar
-    per-block draws). The HPC register-file update stays per block: its
-    noise draws and float accumulation order must replay the scalar
-    fold exactly.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        return []
-    if scalar_only():
-        results = [core.execute_block(block, noisy=noisy)
-                   for block in blocks]
-        _count(EVALS_COUNTER, len(blocks))
-        _count(FALLBACK_COUNTER, len(blocks))
-        return results
-    core._pristine = False
-    core._canonical = False
-    durations = np.array([block.duration_s for block in blocks],
-                         dtype=np.float64)
-    matrix = np.stack([block.signals for block in blocks])
-    cycles = durations * core.clock.frequency_hz
-    if noisy:
-        lam = core.interrupts.effective_rate_hz * durations
-        n_irq = np.zeros(len(blocks), dtype=np.float64)
-        mask = lam > 0
-        if mask.any():
-            draws = core.interrupts._rng.poisson(lam[mask])
-            n_irq[mask] = draws
-            core.interrupts.total_interrupts += int(draws.sum())
-        matrix[:, Signal.INTERRUPTS] += n_irq
-        matrix[:, Signal.INSTRUCTIONS] += 400.0 * n_irq
-        matrix[:, Signal.UOPS] += 700.0 * n_irq
-        cycles = cycles + core.pipeline.penalties.interrupt * n_irq
-    matrix[:, Signal.CYCLES] += cycles
-    core.clock.advance(int(cycles.astype(np.int64).sum()))
-    if core.hpc.programmed_slots():
-        for row in matrix:
-            core.hpc.accumulate(row, noisy=noisy)
-    _count(EVALS_COUNTER, len(blocks))
-    return list(matrix)

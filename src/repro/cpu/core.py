@@ -279,17 +279,6 @@ class Core:
         self.hpc.accumulate(signals, noisy=noisy)
         return signals
 
-    def execute_blocks(self, blocks: "list[ActivityBlock]",
-                       noisy: bool = True) -> list[np.ndarray]:
-        """Consume a batch of activity slices, one signal vector each.
-
-        Bit-identical to looping :meth:`execute_block`: the vectorized
-        engine batches the interrupt draws and signal adjustments but
-        replays the scalar RNG stream and HPC fold order exactly.
-        """
-        from repro.cpu import batch
-        return batch.execute_blocks(self, blocks, noisy=noisy)
-
     # ----------------- measurement helpers -------------------------
 
     def reset_microarch_state(self) -> None:

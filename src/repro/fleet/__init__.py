@@ -11,10 +11,10 @@ load generator drives it deterministically enough to assert
 bit-identity across runs.
 
 Beyond one process, a consistent-hash router shards the tenant set
-across sacrificial worker processes (zero-copy shared-memory noise
-plans, crash-and-replay recovery) while keeping every per-tenant
-stream derived from the fleet root seed — so replay digests are
-bit-identical at any shard count.
+across sacrificial worker processes (crash-and-replay recovery) while
+keeping every per-tenant stream derived from the fleet root seed — so
+replay digests are bit-identical at any shard count. A tenant's noise
+plan lives only in the heap of the process that serves it.
 
 The adaptive defense plane (:mod:`repro.fleet.policy`) closes the
 detection loop: detector alerts drive a deterministic per-tenant
@@ -56,7 +56,6 @@ from repro.fleet.provisioner import (
     DEFAULT_WATERMARK,
     PLAN_MODES,
     NoiseProvisioner,
-    SharedPlanSegment,
     TenantNoiseBuffer,
 )
 from repro.fleet.router import DEFAULT_REPLICAS, FleetRouter
@@ -107,7 +106,6 @@ __all__ = [
     "ShardReport",
     "ShardedFleet",
     "ShardedReplayReport",
-    "SharedPlanSegment",
     "TenantNoiseBuffer",
     "TenantRuntime",
     "TenantSpec",

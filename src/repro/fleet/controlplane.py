@@ -118,11 +118,6 @@ class FleetControlPlane:
         sweeping the whole fleet, so a tick costs O(due log N) rather
         than O(N). Serving is unaffected either way — noised reads and
         ledgers are bit-identical across intervals.
-    shared_plans:
-        Back tenant noise plans with ``multiprocessing.shared_memory``
-        segments (see :class:`~repro.fleet.provisioner
-        .SharedPlanSegment`); shard workers enable this so the
-        provisioner→serving handoff is zero-copy and parent-mappable.
     defense_policy:
         Arm the adaptive defense plane: an
         :class:`~repro.fleet.policy.EscalationProfile` (or a
@@ -147,7 +142,6 @@ class FleetControlPlane:
                  stale_polls: int = 2,
                  hypervisor: "Hypervisor | None" = None,
                  housekeeping_interval: int = 1,
-                 shared_plans: bool = False,
                  defense_policy=None,
                  fault_generation: int = 0) -> None:
         if artifact.mechanism != "laplace":
@@ -181,7 +175,6 @@ class FleetControlPlane:
             clip_bound=artifact.clip_bound,
             capacity=capacity, watermark=watermark,
             refill_retries=refill_retries,
-            shared_plans=shared_plans,
             fault_attempt_bias=fault_generation)
         # The serving projection: per-repetition monitored-event counts
         # of each gadget component, (K, E).
@@ -414,8 +407,8 @@ class FleetControlPlane:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Release provisioner buffers (and any shared-memory
-        segments backing them). The plane is unusable afterwards."""
+        """Release the provisioner's buffers. The plane is unusable
+        afterwards."""
         self.provisioner.close()
 
     # -- introspection -------------------------------------------------

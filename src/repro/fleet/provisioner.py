@@ -35,9 +35,6 @@ backpressure, never an un-noised read.
 from __future__ import annotations
 
 import math
-import os
-import secrets
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -61,79 +58,6 @@ DEFAULT_CAPACITY = 12288
 #: Default refill watermark: top up once fewer slices remain.
 DEFAULT_WATERMARK = 4096
 
-#: Shared-memory segment name prefix; names embed the creating pid so a
-#: supervisor can sweep a crashed worker's leaked segments.
-SEGMENT_PREFIX = "repro-plan"
-
-
-class SharedPlanSegment:
-    """A ``multiprocessing.shared_memory`` block holding one tenant's
-    noise plan: ``capacity`` raw draws followed by the ``(capacity, K)``
-    per-component repetition plan, both as float64 numpy views.
-
-    This is the zero-copy handoff between the provisioner and the
-    serving path: the provisioner draws straight into the segment, the
-    serving matmul reads views of the same pages, and any process that
-    knows ``(name, capacity, k)`` can :meth:`attach` the identical
-    buffers without a byte copied or pickled.
-    """
-
-    ITEMSIZE = np.dtype(np.float64).itemsize
-
-    def __init__(self, shm: shared_memory.SharedMemory, capacity: int,
-                 num_components: int, owner: bool) -> None:
-        self.capacity = int(capacity)
-        self.num_components = int(num_components)
-        self.owner = owner
-        self._shm = shm
-        split = self.capacity * self.ITEMSIZE
-        self.noise = np.ndarray((self.capacity,), dtype=np.float64,
-                                buffer=shm.buf, offset=0)
-        self.per_comp = np.ndarray((self.capacity, self.num_components),
-                                   dtype=np.float64, buffer=shm.buf,
-                                   offset=split)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @classmethod
-    def nbytes(cls, capacity: int, num_components: int) -> int:
-        return capacity * (1 + num_components) * cls.ITEMSIZE
-
-    @classmethod
-    def create(cls, tenant_id: str, capacity: int,
-               num_components: int) -> "SharedPlanSegment":
-        """Allocate a fresh segment (name unique per process + tenant)."""
-        name = (f"{SEGMENT_PREFIX}-{os.getpid()}-"
-                f"{secrets.token_hex(4)}-{tenant_id}"[:30])
-        shm = shared_memory.SharedMemory(
-            name=name, create=True,
-            size=cls.nbytes(capacity, num_components))
-        return cls(shm, capacity, num_components, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, capacity: int,
-               num_components: int) -> "SharedPlanSegment":
-        """Map an existing segment by name (the cross-process side)."""
-        shm = shared_memory.SharedMemory(name=name, create=False)
-        return cls(shm, capacity, num_components, owner=False)
-
-    def close(self, unlink: "bool | None" = None) -> None:
-        """Drop the views and unmap; owners also unlink by default."""
-        self.noise = None
-        self.per_comp = None
-        self._shm.close()
-        if self.owner if unlink is None else unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def describe(self) -> dict:
-        return {"name": self.name, "capacity": self.capacity,
-                "num_components": self.num_components}
-
 
 class TenantNoiseBuffer:
     """One tenant's precomputed noise: raw draws + injection plan.
@@ -143,18 +67,12 @@ class TenantNoiseBuffer:
     live and correspond one-to-one; consumption advances the shared
     cursor so the supplier path and the batched serving path can never
     double-spend a draw.
-
-    With ``segment`` the arrays are views over a
-    :class:`SharedPlanSegment` instead of private heap allocations —
-    same semantics, but the plan is mappable from other processes and
-    the provisioner→serving handoff is guaranteed zero-copy.
     """
 
     def __init__(self, tenant_id: str, capacity: int, watermark: int,
                  num_components: int,
                  noise_rng: np.random.Generator,
-                 mix_rng: np.random.Generator,
-                 segment: "SharedPlanSegment | None" = None) -> None:
+                 mix_rng: np.random.Generator) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not 0 <= watermark <= capacity:
@@ -163,19 +81,8 @@ class TenantNoiseBuffer:
         self.tenant_id = tenant_id
         self.capacity = capacity
         self.watermark = watermark
-        self.segment = segment
-        if segment is not None:
-            if (segment.capacity != capacity
-                    or segment.num_components != num_components):
-                raise ValueError(
-                    f"segment geometry ({segment.capacity}, "
-                    f"{segment.num_components}) does not match buffer "
-                    f"({capacity}, {num_components})")
-            self.noise = segment.noise
-            self.per_comp = segment.per_comp
-        else:
-            self.noise = np.empty(capacity)
-            self.per_comp = np.empty((capacity, num_components))
+        self.noise = np.empty(capacity)
+        self.per_comp = np.empty((capacity, num_components))
         self.cursor = 0
         self.fill = 0
         self.refills = 0
@@ -189,12 +96,9 @@ class TenantNoiseBuffer:
         self._mix_rng = mix_rng
 
     def release(self) -> None:
-        """Drop array references (and the shared segment, if any)."""
+        """Drop the array references."""
         self.noise = None
         self.per_comp = None
-        if self.segment is not None:
-            self.segment.close()
-            self.segment = None
 
     @property
     def available(self) -> int:
@@ -248,10 +152,6 @@ class NoiseProvisioner:
         counts-per-repetition conversion, as in the stock injector.
     clip_bound:
         B_u applied to the noise counts before planning repetitions.
-    shared_plans:
-        Back every tenant buffer with a :class:`SharedPlanSegment`
-        (zero-copy, cross-process mappable) instead of private heap
-        arrays. Callers that enable this own calling :meth:`close`.
 
     Reshard invariance: ``entropy`` must be the *fleet root* seed, not
     anything shard-local. Tenant streams derive as ``(entropy, "noise"
@@ -266,7 +166,6 @@ class NoiseProvisioner:
                  capacity: int = DEFAULT_CAPACITY,
                  watermark: int = DEFAULT_WATERMARK,
                  refill_retries: int = 4,
-                 shared_plans: bool = False,
                  fault_attempt_bias: int = 0) -> None:
         if scale < 0:
             raise ValueError(f"scale must be non-negative, got {scale}")
@@ -292,7 +191,6 @@ class NoiseProvisioner:
         self.capacity = capacity
         self.watermark = watermark
         self.refill_retries = refill_retries
-        self.shared_plans = bool(shared_plans)
         # A replacement shard worker passes its recovery generation so
         # replayed refill attempts land past fault budgets an earlier
         # generation already consumed (see FaultInjector.attempt_bias).
@@ -312,30 +210,19 @@ class NoiseProvisioner:
         if tenant_id in self.buffers:
             raise ValueError(
                 f"tenant {tenant_id!r} already has a noise buffer")
-        segment = None
-        if self.shared_plans:
-            segment = SharedPlanSegment.create(
-                tenant_id, self.capacity, self.num_components)
         buffer = TenantNoiseBuffer(
             tenant_id, self.capacity, self.watermark,
             self.num_components,
             noise_rng=derive_stream(self.entropy, "noise", tenant_id),
-            mix_rng=derive_stream(self.entropy, "mix", tenant_id),
-            segment=segment)
+            mix_rng=derive_stream(self.entropy, "mix", tenant_id))
         self.buffers[tenant_id] = buffer
         return buffer
 
     def close(self) -> None:
-        """Release every buffer (unlinks shared segments). Idempotent."""
+        """Release every buffer. Idempotent."""
         for buffer in self.buffers.values():
             buffer.release()
         self.buffers.clear()
-
-    def plan_segments(self) -> dict:
-        """``{tenant_id: segment description}`` for shared-plan fleets."""
-        return {tenant_id: buffer.segment.describe()
-                for tenant_id, buffer in sorted(self.buffers.items())
-                if buffer.segment is not None}
 
     def buffer(self, tenant_id: str) -> TenantNoiseBuffer:
         try:

@@ -2,7 +2,7 @@
 
 One :class:`~repro.fleet.controlplane.FleetControlPlane` tops out at a
 process; six figures of tenants need many. The sharded fleet splits the
-tenant set across worker processes with three invariants the tests pin
+tenant set across worker processes with two invariants the tests pin
 bit-for-bit:
 
 1. **Reshard invariance.** Every shard's provisioner tree is seeded
@@ -12,13 +12,7 @@ bit-for-bit:
    read stream is therefore byte-identical whether the fleet runs 1, 2
    or 4 shards — the property that makes SEV-Step/VIA-style per-tenant
    isolation auditable under horizontal scaling.
-2. **Zero-copy plan handoff.** Shard planes run with
-   ``shared_plans=True``: tenant noise plans live in
-   ``multiprocessing.shared_memory`` segments
-   (:class:`~repro.fleet.provisioner.SharedPlanSegment`), the serving
-   matmul reads views of the provisioner's own pages, and any process
-   holding the segment name can map the identical buffers.
-3. **Reassign-and-replay recovery.** The ``fleet.shard`` fault point
+2. **Reassign-and-replay recovery.** The ``fleet.shard`` fault point
    is checked after every window inside each worker (``kill`` mode
    really ``os._exit``'s the sacrificial worker). The supervisor
    detects the crash, removes the shard from the consistent-hash ring
@@ -28,7 +22,8 @@ bit-for-bit:
 
 Worker results return as small pickled :class:`ShardReport`\\ s
 (digests, budgets, SLO window values); the heavy noised arrays never
-cross the process boundary.
+cross the process boundary, and neither do the tenants' noise plans:
+they live in the worker's heap and die with it.
 """
 
 from __future__ import annotations
@@ -41,15 +36,9 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from pathlib import Path
-
 from repro.fleet.controlplane import FleetControlPlane, TenantSpec
 from repro.fleet.loadgen import LoadGenerator, ReplayReport
-from repro.fleet.provisioner import (
-    DEFAULT_CAPACITY,
-    DEFAULT_WATERMARK,
-    SEGMENT_PREFIX,
-)
+from repro.fleet.provisioner import DEFAULT_CAPACITY, DEFAULT_WATERMARK
 from repro.fleet.router import DEFAULT_REPLICAS, FleetRouter
 from repro.observability import runtime as observability
 from repro.observability.slo import merge_values
@@ -75,7 +64,6 @@ class ShardReport:
     replay: ReplayReport
     status: dict
     slo_values: "dict[str, list[float]]" = field(default_factory=dict)
-    plan_segments: dict = field(default_factory=dict)
     elapsed_s: float = 0.0
 
     @property
@@ -103,7 +91,6 @@ class FleetShard:
     fault_plan: object = None
     generation: int = 0
     sacrificial: bool = False
-    shared_plans: bool = True
     observe: bool = False
     defense_policy: object = None
     attackers: "dict | None" = None
@@ -133,7 +120,6 @@ class FleetShard:
                 self.artifact, seed=self.seed,
                 capacity=self.capacity, watermark=self.watermark,
                 housekeeping_interval=self.housekeeping_interval,
-                shared_plans=self.shared_plans,
                 defense_policy=self.defense_policy,
                 fault_generation=self.generation)
             try:
@@ -157,14 +143,12 @@ class FleetShard:
                     slo_values = (obs_runtime.slo.export_values()
                                   if obs_runtime is not None else {})
                 status = plane.status()
-                segments = plane.provisioner.plan_segments()
             finally:
                 plane.close()
         return ShardReport(
             shard_id=self.shard_id, generation=self.generation,
             pid=os.getpid(), replay=replay, status=status,
-            slo_values=slo_values, plan_segments=segments,
-            elapsed_s=time.perf_counter() - start)
+            slo_values=slo_values, elapsed_s=time.perf_counter() - start)
 
 
 def _shard_worker(conn, shard: FleetShard) -> None:
@@ -190,34 +174,6 @@ def _shard_worker(conn, shard: FleetShard) -> None:
             os._exit(1)
     conn.send(("report", report))
     conn.close()
-
-
-def sweep_worker_segments(pid: int) -> list[str]:
-    """Best-effort unlink of a dead worker's shared-memory segments.
-
-    A ``kill``-crashed worker exits without unlinking its plan
-    segments — the torn state the fault models. Segment names embed
-    the creating pid, so the supervisor can reclaim them directly from
-    ``/dev/shm`` (no-op on hosts without one). Forked workers share
-    the parent's resource-tracker process, so each swept name is also
-    unregistered there — otherwise the tracker would warn about (and
-    re-clean) the dead worker's registrations at shutdown."""
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return []
-    from multiprocessing import resource_tracker
-    swept = []
-    for path in sorted(shm_dir.glob(f"{SEGMENT_PREFIX}-{pid}-*")):
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - raced another cleaner
-            continue
-        try:
-            resource_tracker.unregister(f"/{path.name}", "shared_memory")
-        except Exception:  # pragma: no cover - tracker already gone
-            pass
-        swept.append(path.name)
-    return swept
 
 
 @dataclass
@@ -303,12 +259,6 @@ class ShardedFleet:
     max_generations:
         Recovery budget: how many reassign-and-replay waves may follow
         injected crashes before the run fails for real.
-    shared_plans:
-        Back every shard's tenant plans with shared-memory segments
-        (the zero-copy production shape). A ``kill``-crashed worker
-        dies without unlinking its segments — exactly the torn state
-        the fault models — so after a crash the supervisor best-effort
-        sweeps the dead worker's segments from ``/dev/shm``.
     """
 
     def __init__(self, artifact, shards: int = 1, seed: int = 0,
@@ -321,7 +271,6 @@ class ShardedFleet:
                  overflow_policy: str = "queue",
                  shard_timeout_s: float = 600.0,
                  max_generations: int = 3,
-                 shared_plans: bool = True,
                  defense_policy=None) -> None:
         if max_tenants_per_shard is not None and max_tenants_per_shard < 1:
             raise ValueError(f"max_tenants_per_shard must be >= 1, got "
@@ -340,7 +289,6 @@ class ShardedFleet:
         self.overflow_policy = overflow_policy
         self.shard_timeout_s = shard_timeout_s
         self.max_generations = max_generations
-        self.shared_plans = shared_plans
         self.defense_policy = defense_policy
 
     @property
@@ -369,8 +317,7 @@ class ShardedFleet:
             concurrency=concurrency, ticks_per_round=ticks_per_round,
             slice_s=slice_s, fault_plan=self.fault_plan,
             generation=generation, sacrificial=sacrificial,
-            shared_plans=self.shared_plans, observe=observe,
-            defense_policy=self.defense_policy,
+            observe=observe, defense_policy=self.defense_policy,
             attackers=shard_attackers)
 
     def _run_batch(self, shards: "list[FleetShard]", mode: str
@@ -397,28 +344,30 @@ class ShardedFleet:
         # One deadline for the whole wave: the shards run concurrently,
         # so k hung shards cost one timeout, not k of them.
         deadline = time.monotonic() + self.shard_timeout_s
-        for shard, proc, conn in procs:
-            message = None
-            try:
-                if conn.poll(max(0.0, deadline - time.monotonic())):
-                    message = conn.recv()
-            except (EOFError, OSError):
+        try:
+            for shard, proc, conn in procs:
                 message = None
-            finally:
+                try:
+                    if conn.poll(max(0.0, deadline - time.monotonic())):
+                        message = conn.recv()
+                except (EOFError, OSError):
+                    message = None
+                proc.join(max(0.0, deadline - time.monotonic()))
+                if message is not None and message[0] == "report":
+                    results[shard.shard_id] = message[1]
+                elif message is not None and message[0] == "error":
+                    raise ShardCrashed(
+                        f"shard {shard.shard_id} failed: {message[1]}")
+                else:
+                    results[shard.shard_id] = None
+        finally:
+            # Hung workers, and on a real error the rest of the wave,
+            # are still running: stop them and close every pipe.
+            for _, proc, conn in procs:
                 conn.close()
-            proc.join(max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():  # hung worker
-                proc.terminate()
+                if proc.is_alive():
+                    proc.terminate()
                 proc.join()
-            if message is not None and message[0] == "report":
-                results[shard.shard_id] = message[1]
-            elif message is not None and message[0] == "error":
-                raise ShardCrashed(
-                    f"shard {shard.shard_id} failed: {message[1]}")
-            else:
-                results[shard.shard_id] = None
-                if proc.pid is not None:
-                    sweep_worker_segments(proc.pid)
         return results
 
     def run(self, specs: "list[TenantSpec]", windows: int = 4,
@@ -593,7 +542,6 @@ class ShardedFleet:
             "served_windows": r.replay.served_windows,
             "served_slices": r.replay.served_slices,
             "elapsed_s": r.elapsed_s,
-            "plan_segments": len(r.plan_segments),
         } for r in sorted(shard_reports,
                           key=lambda r: (r.shard_id, r.generation))]
         payload = {

@@ -42,11 +42,6 @@ class DaemonWatchdog:
         self._last_beat = int(daemon.heartbeat)
         self._stale = 0
 
-    @property
-    def stale_count(self) -> int:
-        """Polls since the heartbeat last advanced."""
-        return self._stale
-
     def poll(self) -> bool:
         """One watchdog tick. Returns True while the daemon is healthy.
 

@@ -81,12 +81,6 @@ class RunTelemetry:
         """Composed privacy guarantee recorded by the ε-ledger."""
         return epsilon_summary(self.metrics)
 
-    def span_counts(self) -> "dict[str, int]":
-        counts: dict[str, int] = {}
-        for span in self.spans:
-            counts[span.name] = counts.get(span.name, 0) + 1
-        return counts
-
 
 def merge_run(trace_dir: "str | Path", write: bool = True) -> RunTelemetry:
     """Merge every per-process telemetry file under ``trace_dir``.

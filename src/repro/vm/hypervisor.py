@@ -59,20 +59,6 @@ class Hypervisor:
         self.guests[name] = guest
         return guest
 
-    def launch_fleet(self, names: "list[str]", num_vcpus: int = 1,
-                     memory_mb: int = 8192,
-                     policy: SevPolicy | None = None
-                     ) -> "dict[str, GuestVM]":
-        """Launch one encrypted guest per name, in the given order.
-
-        Convenience for multi-tenant hosts (the fleet control plane):
-        launch order fixes each guest's RNG stream, so callers that
-        need reproducible fleets pass names in a canonical order.
-        """
-        return {name: self.launch_guest(name, num_vcpus=num_vcpus,
-                                        memory_mb=memory_mb, policy=policy)
-                for name in names}
-
     def attest(self, guest_name: str) -> AttestationReport:
         """Produce the PSP attestation report for a running guest."""
         guest = self._guest(guest_name)

@@ -142,10 +142,6 @@ class PhaseProgram:
 
     phases: list[Phase] = field(default_factory=list)
 
-    def total_duration_s(self) -> float:
-        """Nominal (unjittered) program duration."""
-        return sum(p.duration_s for p in self.phases)
-
     def render(self, duration_s: float, slice_s: float,
                rng: np.random.Generator,
                baseline: InstructionMix | None = None

@@ -75,12 +75,6 @@ class RsaSignWorkload(Workload):
     def secrets(self) -> list:
         return list(self._keys)
 
-    def key_bits(self, secret) -> tuple:
-        """The bit tuple itself is the secret; exposed for clarity."""
-        if secret not in self._keys:
-            raise ValueError("unknown key")
-        return secret
-
     @property
     def signature_seconds(self) -> float:
         """Worst-case single-signature duration (all bits set)."""

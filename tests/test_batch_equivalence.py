@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from repro.core.fuzzer import FuzzingCampaign
 from repro.core.fuzzer.campaign import default_cleanup, gadget_stream
 from repro.core.fuzzer.generator import ExecutionHarness
-from repro.core.fuzzer.grammar import Gadget, GadgetGrammar
+from repro.core.fuzzer.grammar import GadgetGrammar
 from repro.cpu import batch
-from repro.cpu.core import ActivityBlock, Core
+from repro.cpu.core import Core
 from repro.cpu.signals import NUM_SIGNALS
 from repro.isa.catalog import shared_catalog
 from repro.isa.spec import InstructionClass
@@ -202,36 +202,6 @@ class TestScreeningEquivalence:
         assert batch.screened_begin(
             core, list(gadget.reset) + list(gadget.trigger), 16,
             (harness._push, harness._pop, harness._serialize)) is None
-
-
-class TestActivityBlocks:
-    """execute_blocks == the execute_block loop, draws and all."""
-
-    def _blocks(self, n, seed=0):
-        rng = np.random.default_rng(seed)
-        return [ActivityBlock(
-            signals=np.abs(rng.normal(100.0, 40.0, NUM_SIGNALS)),
-            duration_s=float(rng.uniform(1e-7, 2e-3))) for _ in range(n)]
-
-    @pytest.mark.parametrize("noisy", [True, False])
-    @pytest.mark.parametrize("programmed", [True, False])
-    def test_blocks_equivalent(self, noisy, programmed):
-        scalar_core, vector_core = paired_cores(11)
-        blocks = self._blocks(48)
-        if programmed:
-            for core in (scalar_core, vector_core):
-                core.hpc.program(0, 10)
-                core.hpc.program(1, 1500)
-        expected = [scalar_core.execute_block(b, noisy=noisy)
-                    for b in blocks]
-        produced = vector_core.execute_blocks(blocks, noisy=noisy)
-        for i, (a, b) in enumerate(zip(expected, produced)):
-            assert np.array_equal(a, b), f"block {i} diverges"
-        assert_state_identical(scalar_core, vector_core)
-
-    def test_empty_batch(self):
-        core = Core(MODEL, rng=np.random.default_rng(0))
-        assert core.execute_blocks([]) == []
 
 
 class TestCampaignDigests:
@@ -483,22 +453,3 @@ def test_screening_order_invariance(data):
     permuted = screen(permutation)
     for i in range(count):
         assert np.array_equal(natural[i], permuted[i])
-
-
-@PROPERTY_SETTINGS
-@given(data=st.data())
-def test_random_activity_blocks(data):
-    """Random block batches: vectorized interrupt draws replay the
-    scalar RNG stream exactly."""
-    n = data.draw(st.integers(1, 32))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    blocks = [ActivityBlock(
-        signals=np.abs(rng.normal(50.0, 20.0, NUM_SIGNALS)),
-        duration_s=float(rng.uniform(1e-8, 5e-3))) for _ in range(n)]
-    core_a, core_b = paired_cores(seed)
-    expected = [core_a.execute_block(b) for b in blocks]
-    produced = core_b.execute_blocks(blocks)
-    for a, b in zip(expected, produced):
-        assert np.array_equal(a, b)
-    assert_state_identical(core_a, core_b)

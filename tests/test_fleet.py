@@ -11,7 +11,6 @@ tenants share the fleet.
 
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
@@ -390,6 +389,18 @@ class TestControlPlane:
         runtime.daemon.heartbeat += 1
         plane.tick()
         assert runtime.watchdog.restarts == 0
+
+    def test_close_releases_every_buffer(self):
+        plane = small_plane()
+        replay(plane, default_specs(2))
+        buffers = list(plane.provisioner.buffers.values())
+        assert len(buffers) == 2
+        plane.close()
+        assert plane.provisioner.buffers == {}
+        for buffer in buffers:
+            assert buffer.noise is None and buffer.per_comp is None
+        plane.close()
+        assert plane.provisioner.buffers == {}
 
     def test_status_is_json_ready(self):
         plane = small_plane()

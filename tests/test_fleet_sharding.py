@@ -7,9 +7,9 @@ Three properties carry the sharded design and are pinned here:
 - **reshard bit-identity** — per-tenant replay digests equal the
   single-plane fleet's at any shard count, under injected provision
   faults, and through kill-a-shard crash recovery;
-- **state plumbing** — zero-copy shared-memory plans really share
-  pages across processes, status files survive torn writes, and the
-  event-driven tick only visits due tenants without changing a digest.
+- **state plumbing** — status files survive torn writes, a real shard
+  error stops every worker of its wave, and the event-driven tick only
+  visits due tenants without changing a digest.
 """
 
 import hashlib
@@ -18,7 +18,6 @@ import multiprocessing
 import os
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,14 +29,14 @@ from repro.fleet import (
     LoadGenerator,
     ShardCrashed,
     ShardedFleet,
-    SharedPlanSegment,
+    TenantSpec,
     default_artifact,
     default_specs,
     read_json,
     sweep_stale_tmp,
     write_json_atomic,
 )
-from repro.fleet.shard import FleetShard, sweep_worker_segments
+from repro.fleet.shard import FleetShard
 from repro.fleet.statefile import TMP_PREFIX, TMP_SUFFIX
 from repro.observability.slo import merge_values
 from repro.resilience.faults import FaultPlan
@@ -168,73 +167,6 @@ class TestStatefile:
         assert not stale.exists()
 
 
-def _child_fill_segment(name, capacity, num_components):
-    segment = SharedPlanSegment.attach(name, capacity, num_components)
-    segment.noise[:] = np.arange(capacity, dtype=np.float64)
-    segment.per_comp[:] = 2.0
-    segment.close()
-
-
-class TestSharedPlanSegment:
-    def test_cross_process_zero_copy(self):
-        segment = SharedPlanSegment.create("t00", capacity=32,
-                                           num_components=3)
-        try:
-            proc = multiprocessing.Process(
-                target=_child_fill_segment,
-                args=(segment.name, 32, 3))
-            proc.start()
-            proc.join(30)
-            assert proc.exitcode == 0
-            np.testing.assert_array_equal(
-                segment.noise, np.arange(32, dtype=np.float64))
-            assert float(segment.per_comp.sum()) == 32 * 3 * 2.0
-        finally:
-            segment.close(unlink=True)
-
-    def test_provisioned_plans_live_in_the_segment(self, artifact):
-        plane = FleetControlPlane(artifact, seed=SEED, capacity=64,
-                                  watermark=16, shared_plans=True)
-        try:
-            plane.admit_tenant(default_specs(1)[0])
-            buffer = plane.provisioner.buffers["t00"]
-            assert buffer.segment is not None
-            assert np.shares_memory(buffer.noise, buffer.segment.noise)
-            assert np.shares_memory(buffer.per_comp,
-                                    buffer.segment.per_comp)
-            assert plane.provisioner.plan_segments()["t00"]["capacity"] \
-                == 64
-        finally:
-            plane.close()
-        assert buffer.segment is None
-
-    def test_geometry_mismatch_rejected(self):
-        segment = SharedPlanSegment.create("t00", capacity=32,
-                                           num_components=3)
-        try:
-            with pytest.raises(ValueError, match="geometry"):
-                from repro.fleet import TenantNoiseBuffer
-                rng = np.random.default_rng(0)
-                TenantNoiseBuffer("t00", capacity=16, watermark=4,
-                                  num_components=3, noise_rng=rng,
-                                  mix_rng=rng, segment=segment)
-        finally:
-            segment.close(unlink=True)
-
-    def test_crashed_worker_segments_are_sweepable(self):
-        segment = SharedPlanSegment.create("t99", capacity=8,
-                                           num_components=2)
-        name = segment.name
-        segment.close(unlink=False)  # simulate a kill: mapped, never unlinked
-        swept = sweep_worker_segments(os.getpid())
-        if swept:  # /dev/shm hosts only
-            assert name in swept
-            with pytest.raises(FileNotFoundError):
-                SharedPlanSegment.attach(name, 8, 2)
-        else:
-            SharedPlanSegment.attach(name, 8, 2).close(unlink=True)
-
-
 class TestEventDrivenTick:
     def test_interval_one_sweeps_every_tenant(self, artifact, specs):
         plane = FleetControlPlane(artifact, seed=SEED)
@@ -317,6 +249,7 @@ class TestShardedFleet:
         status = fleet.status(report)
         assert status["health"]["healthy"]
         assert status["sharding"]["crashes"] == report.crashes
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("point", ["fleet.admit",
                                        "fleet.provision"])
@@ -366,6 +299,33 @@ class TestShardedFleet:
         assert report.fingerprint() == reference
         assert [c["crashed_shards"] for c in report.crashes] == [[0, 1, 2]]
         assert elapsed < 2.5
+
+    def test_shard_error_stops_the_rest_of_its_wave(self, artifact,
+                                                    specs):
+        # Shard 0 fails for real (an unknown workload), while shard 1
+        # hangs far past the error. The error must surface at once and
+        # take shard 1 down with it, not leave it running to its hang.
+        router = FleetRouter.for_shard_count(2)
+        broken = next(s.tenant_id for s in specs
+                      if router.assign(s.tenant_id) == 0)
+        wave = [TenantSpec(tenant_id=s.tenant_id,
+                           workload="no-such-workload")
+                if s.tenant_id == broken else s for s in specs]
+        plan = FaultPlan.parse(json.dumps({
+            "seed": 3,
+            "faults": [{"point": "fleet.shard", "mode": "hang",
+                        "times": 1, "hang_seconds": 30.0,
+                        "match": [1]}]}))
+        fleet = ShardedFleet(artifact, shards=2, seed=SEED,
+                             fault_plan=plan, shard_timeout_s=60.0)
+        started = time.perf_counter()
+        with pytest.raises(ShardCrashed,
+                           match="shard 0 failed: ValueError: unknown "
+                                 "workload 'no-such-workload'"):
+            fleet.run(wave, windows=WINDOWS, slices_per_window=SLICES,
+                      mode="process")
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - started < 10.0
 
     def test_persistent_crashes_exhaust_generations(self, artifact,
                                                     specs):
@@ -419,7 +379,7 @@ class TestShardedFleet:
         import pickle
         shard = FleetShard(shard_id=0, artifact=artifact, seed=SEED,
                            specs=list(specs)[:2], windows=1,
-                           slices_per_window=16, shared_plans=False)
+                           slices_per_window=16)
         report = shard.run()
         clone = pickle.loads(pickle.dumps(report))
         assert clone.replay.read_digests == report.replay.read_digests
