@@ -221,9 +221,9 @@ class EventFuzzer:
     def gadget_at(self, gadget_index: int) -> Gadget:
         """Replay gadget ``gadget_index`` of this fuzzer's budget.
 
-        Checkpoints and shard results carry gadget indices only; the
-        gadget itself is re-derived from its per-gadget RNG stream,
-        exactly as the screening stage sampled it.
+        Shard results carry gadget indices only; :meth:`finalize`
+        re-derives just the gadgets confirmation picks from their
+        per-gadget RNG streams, exactly as screening sampled them.
         """
         gadget = self._gadget_memo.get(gadget_index)
         if gadget is None:
@@ -243,7 +243,9 @@ class EventFuzzer:
 
         ``screened`` maps event index to ``(gadget_index, delta)`` pairs
         (ascending gadget order), as produced by ``merge_screened``.
-        Runs once per campaign, after all shards are in.
+        Runs once per campaign, after all shards are in. Candidates are
+        ranked and picked by index; only the picked ones (at most
+        ``confirm_per_event`` per event) are replayed by :meth:`gadget_at`.
         """
         event_indices = np.asarray(event_indices, dtype=int)
         tracer = telemetry.tracer()
@@ -257,9 +259,8 @@ class EventFuzzer:
             pick_rng = ensure_rng(int(self._grammar_rng.integers(2**63)))
             confirmed: dict[int, list[ConfirmationResult]] = {}
             for event in (int(e) for e in event_indices):
-                candidates = [(delta, self.gadget_at(index))
-                              for index, delta in screened.get(event, [])]
-                candidates.sort(key=lambda pair: -pair[0])
+                candidates = sorted(screened.get(event, []),
+                                    key=lambda pair: -pair[1])
                 head = candidates[:self.confirm_per_event // 2]
                 tail = candidates[self.confirm_per_event // 2:]
                 extra_count = min(len(tail),
@@ -268,8 +269,8 @@ class EventFuzzer:
                     picks = pick_rng.choice(len(tail), size=extra_count,
                                             replace=False)
                     head = head + [tail[int(i)] for i in picks]
-                results = [self.confirmer.confirm(gadget, event)
-                           for _, gadget in head]
+                results = [self.confirmer.confirm(self.gadget_at(i), event)
+                           for i, _ in head]
                 confirmed[event] = self.confirmer.reorder_validate(results)
         step_seconds["confirmation"] = time.perf_counter() - start
 

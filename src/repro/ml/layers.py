@@ -248,10 +248,9 @@ class Conv1d(Layer):
         dcols2 = np.einsum("ok,not->nkt", w2, grad)      # (N, C*k, T_out)
         dcols = dcols2.reshape(n, c, k, t_out)
         dx_padded = np.zeros(padded_shape)
-        for j in range(k):
-            positions = j + self.stride * np.arange(t_out)
-            np.add.at(dx_padded, (slice(None), slice(None), positions),
-                      dcols[:, :, j, :])
+        stop = self.stride * t_out
+        for j in range(k):  # distinct positions: += adds as np.add.at
+            dx_padded[:, :, j:j + stop:self.stride] += dcols[:, :, j, :]
         if self.padding:
             return dx_padded[:, :, self.padding:-self.padding]
         return dx_padded

@@ -14,9 +14,13 @@ import pytest
 
 from repro.core.fuzzer import (
     CampaignError,
+    EventFuzzer,
     FuzzingCampaign,
+    FuzzingReport,
+    GadgetGrammar,
     load_shard_checkpoint,
     merge_screened,
+    minimal_covering_set,
     plan_shards,
     save_shard_checkpoint,
     screen_shard,
@@ -223,6 +227,80 @@ class TestCheckpoints:
         assert manifest["shard_size"] == 40
         assert manifest["num_shards"] == 4
         assert manifest["events"] == [int(e) for e in events]
+
+
+def eager_finalize(fuzzer, cleanup, screened, events):
+    """Reference confirmation: replay every screened candidate's gadget,
+    rank the gadgets by delta, then pick — then filter as
+    :meth:`EventFuzzer.finalize` does. It replays the whole pool."""
+    pick_rng = np.random.default_rng(int(fuzzer._grammar_rng.integers(2**63)))
+    k = fuzzer.confirm_per_event
+    confirmed = {}
+    for event in (int(e) for e in events):
+        candidates = [(delta, fuzzer.gadget_at(index))
+                      for index, delta in screened.get(event, [])]
+        candidates.sort(key=lambda pair: -pair[0])
+        head, tail = candidates[:k // 2], candidates[k // 2:]
+        extra_count = min(len(tail), k - len(head))
+        if extra_count:
+            picks = pick_rng.choice(len(tail), size=extra_count,
+                                    replace=False)
+            head = head + [tail[int(i)] for i in picks]
+        confirmed[event] = fuzzer.confirmer.reorder_validate(
+            [fuzzer.confirmer.confirm(gadget, event) for _, gadget in head])
+    filtered = {event: fuzzer.filter.filter_event(results)
+                for event, results in confirmed.items()}
+    return FuzzingReport(
+        microarch=fuzzer.microarch.name, cleanup=cleanup,
+        search_space_size=GadgetGrammar(cleanup.legal,
+                                        rng=0).search_space_size,
+        gadgets_tested=fuzzer.gadget_budget, events_fuzzed=len(events),
+        step_seconds={},
+        screened_per_event={int(e): len(screened.get(int(e), []))
+                            for e in events},
+        confirmed_per_event=filtered,
+        covering_set=minimal_covering_set(filtered))
+
+
+class TestReplayBound:
+    """``finalize`` replays only the gadgets confirmation picks."""
+
+    def test_cold_and_warm_replay_only_picked_gadgets(
+            self, make_fuzzer, events, tmp_path, monkeypatch):
+        replayed: list[int] = []
+        pools: list[dict] = []
+        gadget_at, finalize = EventFuzzer.gadget_at, EventFuzzer.finalize
+
+        def counting_gadget_at(self, gadget_index):
+            replayed.append(gadget_index)
+            return gadget_at(self, gadget_index)
+
+        def spying_finalize(self, cleanup, screened, *args):
+            pools.append(screened)
+            return finalize(self, cleanup, screened, *args)
+
+        monkeypatch.setattr(EventFuzzer, "gadget_at", counting_gadget_at)
+        monkeypatch.setattr(EventFuzzer, "finalize", spying_finalize)
+        for leg in ("cold", "warm"):
+            replayed.clear()
+            campaign = FuzzingCampaign(make_fuzzer(), workers=2,
+                                       cache_dir=tmp_path)
+            report = campaign.run(events)
+            assert campaign.stats.screened_shards == (4 if leg == "cold"
+                                                      else 0)
+            assert report_digest(report) == PINNED_REPORT_DIGEST
+            pool = pools[-1]
+            bound = sum(min(campaign.fuzzer.confirm_per_event, len(pairs))
+                        for pairs in pool.values())
+            candidates = {index for pairs in pool.values()
+                          for index, _ in pairs}
+            assert len(set(replayed)) <= bound < len(candidates), leg
+
+        monkeypatch.undo()
+        twin = make_fuzzer()
+        reference = eager_finalize(twin, twin.run_cleanup(), pools[-1],
+                                   events)
+        assert report_key(reference) == report_key(report)
 
 
 class TestValidation:

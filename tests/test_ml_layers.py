@@ -37,6 +37,23 @@ def _check_input_grad(layer, x, indices):
         assert grad[index] == pytest.approx(numeric, abs=1e-4), index
 
 
+def _add_at_backward(layer, grad):
+    """Reference Conv1d input gradient: each kernel offset scattered with
+    ``np.add.at``, the loop the strided ``+=`` in ``backward`` replaced."""
+    cols2, padded_shape, w2 = layer._cache
+    n, _, t_out = cols2.shape
+    dcols = np.einsum("ok,not->nkt", w2, grad).reshape(
+        n, padded_shape[1], layer.kernel_size, t_out)
+    dx_padded = np.zeros(padded_shape)
+    for j in range(layer.kernel_size):
+        positions = j + layer.stride * np.arange(t_out)
+        np.add.at(dx_padded, (slice(None), slice(None), positions),
+                  dcols[:, :, j, :])
+    if layer.padding:
+        return dx_padded[:, :, layer.padding:-layer.padding]
+    return dx_padded
+
+
 class TestGradients:
     def test_dense_input_grad(self, rng):
         layer = Dense(5, 3, rng=0)
@@ -70,6 +87,21 @@ class TestGradients:
         assert out.shape == (3, 4, 8)
         dx = layer.backward(np.ones_like(out))
         assert dx.shape == x.shape
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_conv1d_backward_matches_add_at_bytes(self, rng, stride,
+                                                  padding):
+        """Overlapping kernel offsets (stride < kernel) and, at stride 2,
+        a last column no window reaches: the same bytes as np.add.at."""
+        layer = Conv1d(3, 4, 5, stride=stride, padding=padding, rng=0)
+        x = rng.normal(0, 1, (2, 3, 18))
+        out = layer.forward(x, training=True)
+        grad = rng.normal(0, 1, out.shape)
+        reference = _add_at_backward(layer, grad)
+        dx = layer.backward(grad)
+        assert dx.shape == reference.shape == x.shape
+        assert dx.tobytes() == reference.tobytes()
 
     def test_batchnorm_input_grad(self, rng):
         layer = BatchNorm(3)

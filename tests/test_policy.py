@@ -50,7 +50,7 @@ from repro.fleet import (
     resolve_profile,
 )
 from repro.fleet.loadgen import AttackerProfile
-from repro.fleet.policy import STATE_RANK, profile_with
+from repro.fleet.policy import profile_with
 from repro.observability import runtime as observability
 from repro.observability.detectors import Alert
 from repro.resilience import runtime as resilience
