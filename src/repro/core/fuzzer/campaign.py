@@ -283,6 +283,8 @@ def merge_screened(results: Iterable[ShardResult]
     gadget index, so the merge is associative, commutative, and
     invariant to how the budget was partitioned. Duplicate shard
     indices (e.g. a checkpoint plus a re-screened copy) collapse to one.
+    Pairs are taken as ``screen_shard`` and the checkpoint loader build
+    them, ``(int, float)`` tuples.
     """
     merged: dict[int, list[tuple[int, float]]] = {}
     seen: set[int] = set()
@@ -291,10 +293,11 @@ def merge_screened(results: Iterable[ShardResult]
             continue
         seen.add(result.start)
         for event, pairs in result.screened.items():
-            merged.setdefault(int(event), []).extend(
-                (int(i), float(d)) for i, d in pairs)
+            merged.setdefault(int(event), []).extend(pairs)
+    # Gadget indices are unique per event, so ordering the tuples
+    # orders them by index, as a keyed sort would.
     for pairs in merged.values():
-        pairs.sort(key=lambda pair: pair[0])
+        pairs.sort()
     return merged
 
 

@@ -61,8 +61,8 @@ FORCE_SCALAR = False
 #: Scalar executions before giving up on state-fixed-point detection.
 MAX_SCALAR_PREFIX = 8
 
-#: Entry cap of the screening memo (cleared wholesale when exceeded;
-#: real campaigns stay 2-3 orders of magnitude below this).
+#: Entry cap of the screening memo (cleared wholesale when reached;
+#: real campaigns and searches stay 1-3 orders of magnitude below it).
 MEMO_CAP = 8192
 
 #: Telemetry counter names (dashboards watch the pair to see when the
@@ -255,8 +255,31 @@ _SCREEN_MEMO: dict[tuple, tuple[np.ndarray, int]] = {}
 
 
 def clear_memo() -> None:
-    """Drop all memoized dynamic remainders (test isolation)."""
+    """Open an empty memo scope.
+
+    Campaign screening opens one per shard, so a shard's
+    ``batch.fallback_scalar`` count is a pure function of the shard.
+    """
     _SCREEN_MEMO.clear()
+
+
+def seed_memo(entries: "dict[tuple, tuple[np.ndarray, int]]") -> None:
+    """Open a memo scope holding ``entries`` (a :func:`memo_entries`
+    snapshot), e.g. the one a coverage search carries across rounds.
+
+    A memo value is a pure function of its key, so a snapshot taken in
+    any process serves any other, and merged snapshots do not depend on
+    merge order.  A snapshot of :data:`MEMO_CAP` or more entries opens
+    an empty scope: the bound is a function of the snapshot alone.
+    """
+    _SCREEN_MEMO.clear()
+    if len(entries) < MEMO_CAP:
+        _SCREEN_MEMO.update(entries)
+
+
+def memo_entries() -> "dict[tuple, tuple[np.ndarray, int]]":
+    """A copy of the memo: archetype key → dynamic remainder."""
+    return dict(_SCREEN_MEMO)
 
 
 def _core_token(core: "Core") -> tuple:

@@ -91,6 +91,7 @@ class TenantNoiseBuffer:
         self.scale_factor = 1.0
         self.flushed_slices = 0
         self.dstar_t = 0
+        # d* tree sums c[t], at most dstar_t.bit_length() + 1 of them.
         self._dstar_cum = {0: 0.0}
         self._noise_rng = noise_rng
         self._mix_rng = mix_rng
@@ -343,6 +344,15 @@ class NoiseProvisioner:
                     unit[i] * base_scale * mult
                 draws[i] = cum[t]
             buffer.dstar_t += count
+            # Every later slice's parent is 0 or dstar_t with its lowest
+            # set bits cleared one at a time: keep only those entries,
+            # so the tree holds O(log t) sums instead of one per slice.
+            t = buffer.dstar_t
+            kept = {0: 0.0}
+            while t:
+                kept[t] = cum[t]
+                t &= t - 1
+            buffer._dstar_cum = kept
         else:
             draws = np.asarray(laplace_sample(
                 self.scale * buffer.scale_factor, buffer._noise_rng,

@@ -13,9 +13,15 @@ draw comes from a ``derive_stream`` leaf keyed on stable labels, and
 the reduction is a pure fold over outcomes sorted by evaluation index,
 so the corpus, coverage map, and responder pool are bit-identical for
 any worker count.  Grammar-sample tasks reuse the exact per-gadget
-streams of screening (``gadget_stream``).  A lost worker's chunks are
-retried on a rebuilt pool; a chunk that fails every retry raises
-:class:`SearchError` before its round is reduced or checkpointed.
+streams of screening (``gadget_stream``).  One batch-engine memo serves
+the whole search: every chunk of a round starts from the snapshot the
+parent held when the round began, and the parent merges what the
+chunks and its own minimizations learn before it plans the next round,
+so each gadget shape runs the scalar interpreter about once per search
+and the ``batch.*`` counters stay a function of the plan.  A lost
+worker's chunks are retried on a rebuilt pool; a chunk that fails
+every retry raises :class:`SearchError` before its round is reduced
+or checkpointed.
 
 Checkpoints (one JSON statefile per round, written atomically) carry
 the whole search state — coverage map, scheduler energies, corpus
@@ -171,20 +177,22 @@ class SearchEvaluator:
         measured = self.kernel.measure(gadget, stream)
         return self.extractor.extract(measured.signals, measured.deltas)
 
-    def evaluate(self, tasks, cold=()) -> list:
-        """Evaluate one chunk of search tasks.  Pure in (tasks, cold).
+    def evaluate(self, tasks, cold=(), memo=None) -> "tuple[list, dict]":
+        """Evaluate one chunk of search tasks under a round's memo.
 
         Mirrors ``screen_shard``'s per-gadget discipline: each task gets
         its own RNG stream, a reset-then-warmed core, and a batched
-        screening measurement, so the outcome is identical no matter
-        which process evaluates the chunk.
+        screening measurement, so the outcomes are a pure function of
+        (tasks, cold), whichever process evaluates the chunk.  The batch
+        engine's archetype memo starts as ``memo``, the round-start
+        snapshot the search ships with every chunk of a round, so the
+        ``batch.*`` counters and the entries learned are a pure function
+        of (tasks, cold, memo).  Returns the outcomes and the memo
+        entries the chunk learned.
         """
         config = self.config
-        # Archetype memo scoped to one chunk, exactly as screening
-        # scopes it to one shard: the memo's counters become a pure
-        # function of the chunk, invariant to worker count and process
-        # history.
-        batch.clear_memo()
+        memo = memo or {}
+        batch.seed_memo(memo)
         by_name = self.by_name
         cold_specs = tuple(by_name[name] for name in cold if name in by_name)
         outcomes = []
@@ -210,7 +218,9 @@ class SearchEvaluator:
                 trigger=trigger, digest=gadget_digest(reset, trigger),
                 features=sample.features, responses=sample.responses,
                 near=sample.near))
-        return outcomes
+        learned = {key: value for key, value in batch.memo_entries().items()
+                   if key not in memo}
+        return outcomes, learned
 
 
 #: One-entry process cache, like the screening kernel's: pool workers
@@ -226,9 +236,11 @@ def search_evaluator(config: SearchConfig) -> SearchEvaluator:
     return _EVALUATOR
 
 
-def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
-    """Evaluate one chunk of search tasks.  Pure in (config, tasks, cold)."""
-    return search_evaluator(config).evaluate(tasks, cold)
+def evaluate_search_chunk(config: SearchConfig, tasks, cold=(),
+                          memo=None) -> "tuple[list, dict]":
+    """Evaluate one chunk of search tasks: its outcomes and learned memo
+    entries.  Pure in (config, tasks, cold, memo)."""
+    return search_evaluator(config).evaluate(tasks, cold, memo)
 
 
 def evals_to_cover(first_cover: dict, count: int) -> "int | None":
@@ -341,7 +353,11 @@ class CoverageSearch:
         self._evaluator: "SearchEvaluator | None" = None
         self._probe_queue: "tuple[str, ...] | None" = None
         self._probe_cursor = 0
-        self._round_plan: "tuple[list, tuple]" = ([], ())
+        # The search's screening memo (not checkpointed: a resumed
+        # search re-learns shapes, with the same results).
+        self._memo: dict = {}
+        self._round_plan: "tuple[list, tuple, dict]" = ([], (), {})
+        self._outcomes: list = []
 
     # -- deterministic identity ----------------------------------------
 
@@ -444,15 +460,17 @@ class CoverageSearch:
     def _chunk_args(self, chunk: ShardSpec, attempt: int,
                     sacrificial: bool) -> tuple:
         """The supervised task for a chunk (a slice of the round's plan,
-        by evaluation index) of the current round."""
-        tasks, cold = self._round_plan
+        by evaluation index) of the current round, with the round-start
+        memo snapshot whichever attempt or process runs it."""
+        tasks, cold, memo = self._round_plan
         offset = chunk.start - tasks[0].eval_index
         label = (f"search-{self._round:04d}-{chunk.index:03d}"
                  if chunk.index >= 0
                  else f"search-{self._round:04d}-sub-{chunk.start:06d}")
         trace_dir = telemetry.trace_dir()
         return (evaluate_search_chunk,
-                (self.config, tasks[offset:offset + chunk.count], cold),
+                (self.config, tasks[offset:offset + chunk.count], cold,
+                 memo),
                 "search.chunk", chunk.start, label, attempt, sacrificial,
                 self.fault_plan,
                 str(trace_dir) if trace_dir is not None else None)
@@ -462,17 +480,26 @@ class CoverageSearch:
         raise SearchError(f"round {self._round}: evaluation {chunk.start} "
                           f"failed every retry; not checkpointed")
 
-    def _evaluate(self, tasks, cold, supervisor: ShardSupervisor,
-                  outcomes: list) -> list:
+    def _chunk_done(self, result) -> None:
+        """Collect a chunk's outcomes and merge the memo entries it
+        learned (a memo value is a pure function of its key, so the
+        order chunks finish in changes nothing)."""
+        outcomes, learned = result
+        self._outcomes.extend(outcomes)
+        self._memo.update(learned)
+
+    def _evaluate(self, tasks, cold, supervisor: ShardSupervisor) -> list:
         """Evaluate one round's plan in supervised chunks, in plan order."""
-        self._round_plan = (tasks, cold)
+        # A copy: ``_chunk_done`` merges into ``_memo`` while chunks of
+        # this round are still to be submitted or retried.
+        self._round_plan = (tasks, cold, dict(self._memo))
         first = tasks[0].eval_index
         supervisor.run([
             ShardSpec(index=index, start=first + start, count=stop - start)
             for index, (start, stop) in enumerate(
                 chunk_bounds(len(tasks), self.config.chunk_size))])
-        evaluated = sorted(outcomes, key=lambda o: o.eval_index)
-        outcomes.clear()
+        evaluated = sorted(self._outcomes, key=lambda o: o.eval_index)
+        self._outcomes.clear()
         return evaluated
 
     # -- reduction -----------------------------------------------------
@@ -525,11 +552,10 @@ class CoverageSearch:
         return trimmed, best_sample
 
     def _reduce(self, outcomes) -> None:
-        # One memo scope for the round's minimization measurements:
-        # whatever the parent's memo held before (an in-process chunk's
-        # entries, or an earlier round's) would make the parent's
-        # ``batch.*`` counters depend on the worker count.
-        batch.clear_memo()
+        # The round's minimizations measure against the round-start memo
+        # plus every entry its chunks learned, a set fixed by the plan,
+        # and what they learn is carried into the next round.
+        batch.seed_memo(self._memo)
         admitted_by_parent: dict[str, int] = {}
         for outcome in outcomes:
             self._tried.update(outcome.reset)
@@ -578,6 +604,7 @@ class CoverageSearch:
             self.scheduler.credit(parent_digest,
                                   admitted_by_parent.get(parent_digest, 0))
         self._round_parents = ()
+        self._memo = batch.memo_entries()
 
     def _register_gadget(self, outcome) -> None:
         """Record a responding gadget for confirmation-stage replay."""
@@ -682,9 +709,8 @@ class CoverageSearch:
         registry = telemetry.metrics()
         # Built before the pool forks, so workers inherit it.
         self._ensure_local()
-        outcomes: list = []
         supervisor = ShardSupervisor(
-            fn=run_task, args=self._chunk_args, on_result=outcomes.extend,
+            fn=run_task, args=self._chunk_args, on_result=self._chunk_done,
             empty_result=self._chunk_lost,
             policy=SupervisorPolicy(seed=self.fault_plan.seed
                                     if self.fault_plan is not None else 0),
@@ -699,8 +725,7 @@ class CoverageSearch:
                 if not tasks:
                     break
                 self._eval_cursor += len(tasks)
-                self._reduce(self._evaluate(tasks, cold, supervisor,
-                                            outcomes))
+                self._reduce(self._evaluate(tasks, cold, supervisor))
                 self._round += 1
                 if registry.enabled:
                     registry.counter("search.evals").inc(len(tasks))

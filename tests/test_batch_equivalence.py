@@ -191,6 +191,50 @@ class TestScreeningEquivalence:
             harness.screen_measure(gadget, EVENTS)
         assert 0 < len(batch._SCREEN_MEMO) < len(gadgets) // 2
 
+    def test_seeded_memo_serves_another_core_exactly(self, monkeypatch):
+        """A snapshot learned on one core serves a fresh core of the
+        same model bit for bit (what a search's round-start snapshot
+        does on a worker), and a snapshot at the cap opens empty."""
+        gadgets = self._gadgets(80, sequence_length=3)
+
+        def screen(harness, indices):
+            core = harness.core
+            for i in indices:
+                core.reset_microarch_state()
+                harness.warm_measurement_state()
+                harness.set_rng(gadget_stream(1, i))
+                yield i, harness.screen_measure(gadgets[i], EVENTS)
+
+        batch.clear_memo()
+        donor = ExecutionHarness(Core(MODEL, rng=np.random.default_rng(3)),
+                                 rng=0)
+        list(screen(donor, range(40)))
+        snapshot = batch.memo_entries()
+        assert snapshot
+
+        batch.seed_memo(snapshot)
+        scalar_core, vector_core = paired_cores(7)
+        scalar_h = ExecutionHarness(scalar_core, rng=0)
+        vector_h = ExecutionHarness(vector_core, rng=0)
+        for i, measured in screen(vector_h, range(40, 80)):
+            scalar_core.reset_microarch_state()
+            scalar_h.warm_measurement_state()
+            scalar_h.set_rng(gadget_stream(1, i))
+            expected = scalar_h.measure_gadget(gadgets[i], EVENTS)
+            assert np.array_equal(expected.deltas, measured.deltas), i
+            assert np.array_equal(expected.signals, measured.signals), i
+            assert expected.cycles == measured.cycles, i
+        # Every miss stores one entry: the snapshot spared executions.
+        seeded_misses = len(batch.memo_entries()) - len(snapshot)
+        batch.clear_memo()
+        list(screen(vector_h, range(40, 80)))
+        assert seeded_misses < len(batch.memo_entries())
+
+        monkeypatch.setattr(batch, "MEMO_CAP", len(snapshot))
+        batch.seed_memo(snapshot)
+        assert batch.memo_entries() == {}
+        batch.clear_memo()
+
     def test_screen_measure_requires_canonical_state(self):
         """Without reset+warm-up the memo must not be consulted."""
         batch.clear_memo()

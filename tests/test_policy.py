@@ -400,20 +400,46 @@ class TestPlanModes:
         np.testing.assert_array_equal(once, split)
 
     def test_dstar_noise_is_a_cumulative_path_sum(self):
-        # c[t] = c[parent(t)] + r_t: at t = 2^k the parent is 0, so
-        # the cumulative noise restarts from a single unit-scale draw
-        # — the signature of the tree, cheap to spot without
-        # re-implementing it.
+        # c[t] = c[parent(t)] + r_t: at t = 2^k the parent is 2^(k-1),
+        # so c[2^k] extends the tree's spine by one unit-scale draw
+        # rather than the sum at t-1 — the signature of the tree, cheap
+        # to spot without re-implementing it.
         provisioner = make_provisioner(entropy=3, capacity=64,
                                        watermark=0)
         provisioner.create_buffer("t0")
         provisioner.set_profile("t0", mode="dstar", scale_factor=1.0)
         _, noise = provisioner.take("t0", 33)
-        # dstar_parent(2^k) == 0 and the 2^k multiplier is 1.0, so
-        # |c[2^k]| is a single fresh draw while neighbours accumulate.
+        # dstar_parent(2^k) == 2^(k-1) and the 2^k multiplier is 1.0,
+        # so c[2^k] is c[2^(k-1)] plus one fresh draw, not c[2^k - 1].
         assert noise[0] != 0.0
         for t in (2, 4, 8, 16, 32):
             assert noise[t - 1] != noise[t - 2]
+
+    def test_dstar_tree_keeps_only_the_entries_later_slices_read(self):
+        # 3000 slices served 5 at a time from a 7-slice buffer (about
+        # 600 refills) against one 3000-slice refill, which computes
+        # every c[t] before it prunes: the same plans and draws, while
+        # the tree holds at most dstar_t.bit_length() + 1 sums.
+        def serve(capacity, take):
+            provisioner = make_provisioner(entropy=9, capacity=capacity,
+                                           watermark=0)
+            provisioner.create_buffer("t0")
+            provisioner.set_profile("t0", mode="dstar", scale_factor=2.0)
+            buffer = provisioner.buffer("t0")
+            plans, draws = [], []
+            for _ in range(3000 // take):
+                plan, noise = provisioner.take("t0", take)
+                plans.append(plan.copy())
+                draws.append(noise.copy())
+                assert len(buffer._dstar_cum) \
+                    <= buffer.dstar_t.bit_length() + 1
+            return buffer, np.concatenate(plans), np.concatenate(draws)
+
+        buffer, plans, draws = serve(7, 5)
+        _, reference_plans, reference_draws = serve(3000, 3000)
+        assert buffer.refills > 500
+        assert plans.tobytes() == reference_plans.tobytes()
+        assert draws.tobytes() == reference_draws.tobytes()
 
     def test_mode_history_never_desynchronizes_the_stream(self):
         # Both modes consume one draw per slice, so a tenant that

@@ -27,6 +27,7 @@ from repro.core.fuzzer import campaign as campaign_mod
 from repro.core.fuzzer.campaign import default_cleanup
 from repro.core.fuzzer.grammar import (LEGACY_SIGNATURE_LENGTH, Gadget,
                                        normalize_signature)
+from repro.cpu import batch
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.cpu.signals import NUM_SIGNALS, Signal
@@ -93,6 +94,43 @@ def result_key(result):
 def pinned(result) -> bool:
     return ((result.corpus_replay_digest, result.coverage_digest)
             == (PINNED_REPLAY_DIGEST, PINNED_COVERAGE_DIGEST))
+
+
+def traced_search(search_config, trace_dir, workers):
+    """A traced ``baseline``-sized search: its result and the bytes of
+    its merged ``metrics.json``."""
+    # Build the process caches untraced first: the build ticks
+    # ``fuzz.cleanup_builds`` once per process, so whichever traced run
+    # came first would differ when this test runs alone.
+    search_evaluator(search_config)
+    with telemetry.session(trace_dir=trace_dir, process="main"):
+        result = CoverageSearch(search_config, max_evals=MAX_EVALS,
+                                workers=workers).run()
+    merge_run(trace_dir)
+    return result, (trace_dir / "metrics.json").read_bytes()
+
+
+def per_chunk_memo_scopes(monkeypatch):
+    """The reference memo scopes: every chunk and every reduction starts
+    from an empty memo, as before the search carried one across rounds."""
+    monkeypatch.setattr(batch, "seed_memo",
+                        lambda entries: batch.clear_memo())
+
+
+def counted_chunk(search_config, tasks, memo=None):
+    """One chunk's outcomes, learned memo entries and scalar runs."""
+    with telemetry.session(trace_dir=None, process="main"):
+        outcomes, learned = evaluate_search_chunk(search_config, tasks, (),
+                                                  memo)
+        counters = telemetry.metrics().snapshot()["counters"]
+    return outcomes, learned, counters.get("batch.fallback_scalar", 0)
+
+
+def same_memo_entries(a, b) -> bool:
+    """Equal memo entries: the same keys, bit-equal remainders."""
+    return a.keys() == b.keys() and all(
+        a[key][0].tobytes() == b[key][0].tobytes() and a[key][1] == b[key][1]
+        for key in a)
 
 
 # -- coverage map ---------------------------------------------------------
@@ -484,19 +522,35 @@ class TestCoverageSearch:
 
     def test_traced_metrics_are_worker_invariant(self, search_config,
                                                  tmp_path):
-        # The parent's minimization measurements get one memo scope per
-        # round, so the merged batch counters cannot see whether the
-        # round's chunks ran in-process or on workers.
-        merged = {}
-        for workers in (1, 4):
-            trace_dir = tmp_path / f"trace-{workers}"
-            with telemetry.session(trace_dir=trace_dir, process="main"):
-                CoverageSearch(search_config, max_evals=MAX_EVALS,
-                               workers=workers).run()
-            merge_run(trace_dir)
-            merged[workers] = (trace_dir / "metrics.json").read_bytes()
-        assert merged[1] == merged[4]
+        # Every chunk of a round starts from the round-start memo
+        # snapshot, so the merged batch counters cannot see whether the
+        # round's chunks ran in-process or on workers (2 is the width
+        # perfbench's ``search`` runs).
+        merged = {workers: traced_search(search_config,
+                                         tmp_path / f"trace-{workers}",
+                                         workers)[1]
+                  for workers in (1, 2, 4)}
+        assert merged[1] == merged[2] == merged[4]
         assert json.loads(merged[1])["counters"]["search.evals"] > 0
+
+    def test_memo_carried_across_rounds_runs_fewer_scalar(
+            self, search_config, tmp_path, monkeypatch):
+        fallback, keys = {}, []
+        for workers in (1, 2):
+            result, metrics = traced_search(
+                search_config, tmp_path / f"trace-{workers}", workers)
+            assert pinned(result)
+            keys.append(result_key(result))
+            fallback[workers] = json.loads(
+                metrics)["counters"]["batch.fallback_scalar"]
+        per_chunk_memo_scopes(monkeypatch)
+        result, metrics = traced_search(search_config,
+                                        tmp_path / "per-chunk", 1)
+        assert pinned(result)
+        keys.append(result_key(result))
+        reference = json.loads(metrics)["counters"]["batch.fallback_scalar"]
+        assert keys[0] == keys[1] == keys[2]
+        assert fallback[1] == fallback[2] < reference
 
     def test_rejects_bad_budgets(self, search_config):
         with pytest.raises(SearchError):
@@ -538,10 +592,30 @@ class TestChunking:
                             sample_index=i) for i in range(24)]
         second = [SearchTask(eval_index=i, kind="sample", round_index=0,
                              sample_index=i) for i in range(24, 40)]
-        cold = evaluate_search_chunk(search_config, first)
+        third = [SearchTask(eval_index=i, kind="sample", round_index=1,
+                            sample_index=i) for i in range(40, 64)]
+        cold, learned, scalar = counted_chunk(search_config, first)
+        assert learned
         evaluate_search_chunk(search_config, second)
-        assert evaluate_search_chunk(search_config, first) == cold
-        assert SearchEvaluator(search_config).evaluate(first) == cold
+        again, relearned = evaluate_search_chunk(search_config, first)
+        assert again == cold and same_memo_entries(relearned, learned)
+        fresh, fresh_learned = SearchEvaluator(search_config).evaluate(first)
+        assert fresh == cold and same_memo_entries(fresh_learned, learned)
+        # Under a memo that already holds every shape it meets, a chunk
+        # measures the same, learns nothing and runs fewer scalar
+        # measurements.
+        seeded, nothing, seeded_scalar = counted_chunk(search_config, first,
+                                                       learned)
+        assert (seeded, nothing) == (cold, {}) and seeded_scalar < scalar
+        # A later round's chunk under that round's memo: the same
+        # outcomes, learned entries and scalar runs before and after an
+        # unrelated chunk.
+        before = counted_chunk(search_config, third, learned)
+        evaluate_search_chunk(search_config, second)
+        after = counted_chunk(search_config, third, learned)
+        assert after[0] == before[0] and after[2] == before[2]
+        assert same_memo_entries(after[1], before[1])
+        assert before[0] == evaluate_search_chunk(search_config, third)[0]
 
 
 class TestSearchChaos:
@@ -640,7 +714,8 @@ class TestBlindBaseline:
         tasks = [SearchTask(eval_index=i, kind="sample", round_index=0,
                             sample_index=i) for i in range(160)]
         responses: dict = {}
-        for outcome in evaluate_search_chunk(search_config, tasks):
+        outcomes, _ = evaluate_search_chunk(search_config, tasks)
+        for outcome in outcomes:
             for event, delta in outcome.responses:
                 responses.setdefault(event, []).append(
                     (outcome.eval_index, delta))
