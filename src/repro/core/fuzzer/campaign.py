@@ -58,7 +58,7 @@ from repro.resilience.supervisor import (
 )
 from repro.telemetry import runtime as telemetry
 from repro.utils.digest import config_digest
-from repro.utils.rng import derive_stream
+from repro.utils.rng import derive_seeds, derive_stream, seeded_stream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.core.fuzzer.fuzzer import EventFuzzer, FuzzingReport
@@ -199,10 +199,17 @@ class ScreeningKernel:
             empty_reset_prob=config.empty_reset_prob, rng=0)
         self.events = np.asarray(config.event_indices, dtype=int)
 
-    def sample(self, gadget_index: int
+    def sample(self, gadget_index: int,
+               stream: "np.random.Generator | None" = None
                ) -> "tuple[Gadget, np.random.Generator]":
-        """Gadget ``gadget_index`` and its stream, for :meth:`measure`."""
-        stream = gadget_stream(self.config.entropy, gadget_index)
+        """Gadget ``gadget_index`` and its stream, for :meth:`measure`.
+
+        ``stream`` is the gadget's :func:`gadget_stream` when the caller
+        already built it: :func:`screen_shard` seeds a whole shard's
+        streams in one pass (:func:`repro.utils.rng.derive_seeds`).
+        """
+        if stream is None:
+            stream = gadget_stream(self.config.entropy, gadget_index)
         return self.grammar.sample(rng=stream), stream
 
     def measure(self, gadget: Gadget,
@@ -236,7 +243,10 @@ def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
 
     Each gadget is sampled, measured, and thresholded under its own RNG
     stream from a reset-then-warmed core, so the result is identical no
-    matter which process runs the shard or what ran before it.
+    matter which process runs the shard or what ran before it. The
+    shard's streams are :func:`gadget_stream`'s, seeded in one array
+    pass: 32 bytes of seed per gadget, each stream built just before
+    its gadget is sampled.
     """
     wall = time.perf_counter()
     cpu = time.process_time()
@@ -254,8 +264,10 @@ def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
         screened: dict[int, list[tuple[int, float]]] = {
             int(e): [] for e in events}
         candidates = 0
-        for gadget_index in range(shard.start, shard.stop):
-            gadget, stream = kernel.sample(gadget_index)
+        indices = range(shard.start, shard.stop)
+        seeds = derive_seeds(config.entropy, indices)
+        for gadget_index, seed in zip(indices, seeds):
+            gadget, stream = kernel.sample(gadget_index, seeded_stream(seed))
             deltas = kernel.measure(gadget, stream).deltas
             for j in np.flatnonzero(deltas > thresholds):
                 screened[int(events[j])].append(

@@ -18,7 +18,7 @@ from repro.core.fuzzer.grammar import Gadget
 from repro.cpu import batch
 from repro.cpu.core import Core
 from repro.isa.spec import Instruction, InstructionSpec, Program
-from repro.utils.rng import derive_stream, ensure_rng
+from repro.utils.rng import derive_streams, ensure_rng
 
 #: Callee-saved registers the prolog preserves.
 _CALLEE_SAVED = 6
@@ -158,6 +158,11 @@ class ExecutionHarness:
         one batch submission. The paths run in order, each on the core
         state the previous one left. Returns shape (paths, executions,
         iterations, E). An empty body measures pure read noise.
+
+        Each execution's interference stream is
+        ``derive_stream(root, "interference")``; the call seeds all of
+        them in one array pass (:func:`repro.utils.rng.derive_streams`),
+        with the same draws.
         """
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -192,8 +197,7 @@ class ExecutionHarness:
         # stream's draws up to its last polluted position are the head
         # of a full-length draw; a single event takes a scalar lambda.
         uniforms = np.empty((len(roots), iterations * n_events))
-        streams = [derive_stream(root, "interference")
-                   for root in roots.tolist()]
+        streams = derive_streams(roots.tolist(), "interference")
         for row, stream in zip(uniforms, streams):
             stream.random(out=row)
         polluted = uniforms < 0.03

@@ -160,6 +160,9 @@ class SearchEvaluator:
         self.config = config
         self.kernel = kernel = screening_kernel(config)
         self.by_name = build_name_index(kernel.legal)
+        #: The legal instruction names in order: a cold-pool mask holds
+        #: one bit per name.
+        self.sorted_names = tuple(sorted(self.by_name))
         self.mutator = GadgetMutator(
             kernel.legal, max_sequence_length=config.max_sequence_length)
         self.extractor = CoverageExtractor(kernel.core.catalog,
@@ -172,6 +175,19 @@ class SearchEvaluator:
         return Gadget(reset=tuple(by_name[n] for n in reset),
                       trigger=tuple(by_name[n] for n in trigger))
 
+    def cold_mask(self, tried) -> np.ndarray:
+        """The cold pool, every legal instruction not in ``tried``, as
+        one bit per :attr:`sorted_names` entry (``np.packbits``)."""
+        return np.packbits(np.array(
+            [name not in tried for name in self.sorted_names], dtype=bool))
+
+    def cold_specs(self, mask) -> tuple:
+        """The specs a :meth:`cold_mask` names, in name order."""
+        names, by_name = self.sorted_names, self.by_name
+        bits = np.unpackbits(np.asarray(mask, dtype=np.uint8),
+                             count=len(names))
+        return tuple(by_name[names[i]] for i in np.flatnonzero(bits).tolist())
+
     def measure(self, gadget: Gadget, stream):
         """Coverage of one screening measurement from the reset state."""
         measured = self.kernel.measure(gadget, stream)
@@ -183,18 +199,18 @@ class SearchEvaluator:
         Mirrors ``screen_shard``'s per-gadget discipline: each task gets
         its own RNG stream, a reset-then-warmed core, and a batched
         screening measurement, so the outcomes are a pure function of
-        (tasks, cold), whichever process evaluates the chunk.  The batch
-        engine's archetype memo starts as ``memo``, the round-start
-        snapshot the search ships with every chunk of a round, so the
-        ``batch.*`` counters and the entries learned are a pure function
-        of (tasks, cold, memo).  Returns the outcomes and the memo
-        entries the chunk learned.
+        (tasks, cold), whichever process evaluates the chunk; ``cold``
+        is the round's :meth:`cold_mask`, which only ``mutate`` tasks
+        read.  The batch engine's archetype memo starts as ``memo``, the
+        round-start snapshot the search ships with every chunk of a
+        round, so the ``batch.*`` counters and the entries learned are a
+        pure function of (tasks, cold, memo).  Returns the outcomes and
+        the memo entries the chunk learned.
         """
         config = self.config
         memo = memo or {}
         batch.seed_memo(memo)
-        by_name = self.by_name
-        cold_specs = tuple(by_name[name] for name in cold if name in by_name)
+        cold_specs = self.cold_specs(cold)
         outcomes = []
         for task in tasks:
             if task.kind == "sample":
@@ -389,11 +405,10 @@ class CoverageSearch:
 
     # -- planning ------------------------------------------------------
 
-    def _plan_round(self, remaining: int) -> "tuple[list, tuple]":
-        """Plan one round of tasks plus the round's cold-instruction pool."""
-        by_name = self._ensure_local().by_name
-        cold = tuple(sorted(
-            name for name in by_name if name not in self._tried))
+    def _plan_round(self, remaining: int) -> "tuple[list, np.ndarray]":
+        """Plan one round of tasks plus the round's cold-instruction pool
+        (as a :meth:`SearchEvaluator.cold_mask`)."""
+        cold = self._ensure_local().cold_mask(self._tried)
         tasks: list[SearchTask] = []
 
         def sample_task() -> SearchTask:

@@ -617,6 +617,37 @@ class TestChunking:
         assert same_memo_entries(after[1], before[1])
         assert before[0] == evaluate_search_chunk(search_config, third)[0]
 
+    def test_cold_mask_mutates_as_the_names_tuple_did(self, search_config,
+                                                      monkeypatch):
+        evaluator = search_evaluator(search_config)
+        by_name = evaluator.by_name
+        tried = set(sorted(by_name)[::3])
+        # What the search shipped before: the sorted untried names, and
+        # the decoding the evaluator applied to them (the reference).
+        names = tuple(sorted(name for name in by_name if name not in tried))
+
+        def decode_names(cold):
+            return tuple(by_name[name] for name in cold if name in by_name)
+
+        mask = evaluator.cold_mask(tried)
+        assert mask.dtype == np.uint8 and len(mask) == -(-len(by_name) // 8)
+        assert evaluator.cold_specs(mask) == decode_names(names)
+        parents, _ = evaluate_search_chunk(search_config, [
+            SearchTask(eval_index=i, kind="sample", round_index=0,
+                       sample_index=i) for i in range(4)])
+        tasks = [SearchTask(eval_index=8 * p + c, kind="mutate",
+                            round_index=1, parent_digest=parent.digest,
+                            parent_reset=parent.reset,
+                            parent_trigger=parent.trigger, child=c)
+                 for p, parent in enumerate(parents) for c in range(8)]
+        outcomes, _ = evaluate_search_chunk(search_config, tasks, mask)
+        without_pool, _ = evaluate_search_chunk(search_config, tasks)
+        assert outcomes != without_pool
+        monkeypatch.setattr(SearchEvaluator, "cold_specs",
+                            lambda self, cold: decode_names(cold))
+        reference, _ = evaluate_search_chunk(search_config, tasks, names)
+        assert outcomes == reference
+
 
 class TestSearchChaos:
     """``search.corpus.write`` faults: results never change."""
