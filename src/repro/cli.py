@@ -898,11 +898,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--workload", default="website",
                    choices=("website", "keystroke", "dnn"))
-    p.add_argument("--secrets", type=int, default=8,
+    p.add_argument("--secrets", type=_nonnegative_int, default=8,
                    help="number of secrets to profile (0 = all)")
-    p.add_argument("--runs", type=int, default=6,
+    p.add_argument("--runs", type=_positive_int, default=6,
                    help="profiling runs per secret")
-    p.add_argument("--top", type=int, default=8,
+    p.add_argument("--top", type=_positive_int, default=8,
                    help="vulnerable events to print")
     _add_telemetry_options(p)
     _add_obs_options(p)
@@ -910,9 +910,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run an Event Fuzzer campaign")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=2000,
+    p.add_argument("--budget", type=_positive_int, default=2000,
                    help="gadget pairs to sample")
-    p.add_argument("--events", type=int, default=0,
+    p.add_argument("--events", type=_nonnegative_int, default=0,
                    help="limit fuzzed events (0 = all guest-sensitive)")
     p.add_argument("--strategy", default="grammar",
                    choices=("grammar", "coverage"),
@@ -935,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation budget (default 2000; counts "
                         "bootstrap samples, mutants, probes, and "
                         "minimization measurements)")
-    p.add_argument("--events", type=int, default=0,
+    p.add_argument("--events", type=_nonnegative_int, default=0,
                    help="limit target events (0 = all guest-sensitive)")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for chunk evaluation "
@@ -971,9 +971,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", default="laplace",
                    choices=("laplace", "dstar"))
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--secrets", type=int, default=8)
-    p.add_argument("--runs", type=int, default=6)
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--secrets", type=_nonnegative_int, default=8,
+                   help="number of secrets to profile (0 = all)")
+    p.add_argument("--runs", type=_positive_int, default=6)
+    p.add_argument("--budget", type=_positive_int, default=1000)
     p.add_argument("-o", "--output", default="aegis-artifact.json")
     _add_campaign_options(p)
     _add_telemetry_options(p)
@@ -986,11 +987,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("wfa", "ksa", "mea"))
     p.add_argument("--artifact", default="",
                    help="deployment artifact JSON; enables the defense")
-    p.add_argument("--secrets", type=int, default=0,
+    p.add_argument("--secrets", type=_nonnegative_int, default=0,
                    help="number of secrets (0 = attack default)")
-    p.add_argument("--runs", type=int, default=16,
+    p.add_argument("--runs", type=_positive_int, default=16,
                    help="traces per secret")
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=_positive_int, default=30)
     p.add_argument("--slice", type=float, default=0.01,
                    help="monitor sampling interval in seconds")
     p.set_defaults(func=cmd_attack)

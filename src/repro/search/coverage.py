@@ -16,7 +16,9 @@ threshold crossing confirms them.
 Feature ids are the first 8 bytes of a SHA-256 over the textual
 ``event|unit|bucket`` triple — never Python ``hash()`` — so maps built
 in different processes, in different orders, by different worker
-counts, are bit-identical.
+counts, are bit-identical.  The extractor tabulates every id it can
+emit when it is built and reduces a whole chunk of measurements in one
+array pass.
 """
 
 from __future__ import annotations
@@ -87,23 +89,46 @@ NEAR_MISS_FRACTION = 0.25
 #: Magnitude buckets cap (log4 of delta/threshold, clamped).
 MAX_MAGNITUDE_BUCKET = 3
 
+#: Signed response buckets in feature-table order: negative magnitudes
+#: 1..4, then positive ones.
+_SIGNED_BUCKETS = (tuple(-m for m in range(1, MAX_MAGNITUDE_BUCKET + 2))
+                   + tuple(range(1, MAX_MAGNITUDE_BUCKET + 2)))
+
+
+def _feature_hash(event: int, unit: str, bucket: int) -> int:
+    """First 8 bytes (big-endian) of a SHA-256 over ``event|unit|bucket``."""
+    digest = hashlib.sha256(f"{event}|{unit}|{bucket}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
 
 @functools.cache
 def feature_id(event: int, unit: str, bucket: int) -> int:
     """Stable 64-bit id for one (event, unit, bucket) coverage triple.
 
     Memoized: the domain is bounded (events × units × nine buckets).
+    :class:`CoverageExtractor` tabulates the same ids without filling
+    this cache.
     """
-    digest = hashlib.sha256(f"{event}|{unit}|{bucket}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return _feature_hash(event, unit, bucket)
 
 
-def _magnitude_bucket(delta: float, threshold: float) -> int:
-    """1 + floor(log4(delta / threshold)), clamped to the bucket cap."""
-    if threshold <= 0.0:
-        return 1
-    ratio = max(1.0, delta / threshold)
-    return 1 + min(MAX_MAGNITUDE_BUCKET, int(math.log2(ratio)) // 2)
+def _log2_edge(power: int) -> float:
+    """The smallest double whose ``math.log2`` is at least ``power``.
+
+    ``math.log2`` rounds some doubles just below ``2 ** power`` up to
+    ``power`` (``math.log2(15.999999999999998) == 4.0``), so the edge
+    is found by stepping down with ``math.log2`` itself.
+    """
+    edge = 2.0 ** power
+    while math.log2(below := math.nextafter(edge, 0.0)) >= power:
+        edge = below
+    return edge
+
+
+#: ``int(math.log2(ratio)) // 2 >= k`` exactly when ``ratio`` is at
+#: least ``BUCKET_EDGES[k - 1]``, for every double ``ratio >= 1``.
+BUCKET_EDGES = tuple(_log2_edge(2 * k)
+                     for k in range(1, MAX_MAGNITUDE_BUCKET + 1))
 
 
 @dataclass(frozen=True)
@@ -123,12 +148,26 @@ class CoverageSample:
     near: tuple[int, ...]
 
 
+def _split_rows(rows: np.ndarray, values: list, count: int) -> list:
+    """``values`` (aligned with the sorted row ids ``rows``) as one
+    tuple per row ``0 .. count - 1``."""
+    bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()
+    return [tuple(values[start:stop])
+            for start, stop in zip(bounds, bounds[1:])]
+
+
 class CoverageExtractor:
     """Extracts :class:`CoverageSample` from screening measurements.
 
-    Built once per (catalog, event subset, thresholds); extraction is a
-    pure function of the measured ``(signals, deltas)`` pair, so the
-    same gadget evaluated in any worker yields the same sample.
+    Built once per (catalog, event subset, thresholds), with every
+    feature id it can emit tabulated up front: an (event × unit ×
+    signed bucket) table and the unit frontier ids.  Per event and
+    unit, a bitmask holds the signals the event's weight row reaches,
+    so a hit is one AND with the gadget's touched-signal mask.
+    :meth:`extract_many` reduces a whole chunk of measurements in one
+    array pass; each sample is a pure function of its own
+    ``(signals, deltas)`` row, so the same gadget evaluated in any
+    worker, in any chunk, yields the same sample.
     """
 
     def __init__(self, catalog, event_indices, thresholds) -> None:
@@ -138,58 +177,101 @@ class CoverageExtractor:
             raise ValueError("thresholds must align with event_indices")
         self.weights = np.asarray(
             catalog.weights[self.event_indices], dtype=np.float64)
-        unit_of = [UNIT_OF_SIGNAL[Signal(s)]
-                   for s in range(self.weights.shape[1])]
-        self._units = tuple(dict.fromkeys(unit_of))
-        # (signal × unit) one-hot: a boolean product with it maps a
-        # signal mask to the units it touches.
-        self._unit_onehot = np.array(
-            [[unit == u for u in self._units] for unit in unit_of],
-            dtype=bool)
+        signal_count = self.weights.shape[1]
+        unit_of = [UNIT_OF_SIGNAL[Signal(s)] for s in range(signal_count)]
+        units = tuple(dict.fromkeys(unit_of))
+        # Bit s of a mask stands for signal s.
+        self._signal_bits = np.left_shift(
+            np.uint64(1), np.arange(signal_count, dtype=np.uint64))
+        self._unit_bits = np.array(
+            [sum(1 << s for s, unit in enumerate(unit_of) if unit == u)
+             for u in units], dtype=np.uint64)
+        row_bits = np.bitwise_or.reduce(
+            np.where(self.weights != 0.0, self._signal_bits, np.uint64(0)),
+            axis=1)
+        # (event × unit): the signals of the unit the event's weight row
+        # reaches.
+        self._reach = row_bits[:, None] & self._unit_bits
+        self._edges = np.array(BUCKET_EDGES)
+        self._near_floor = NEAR_MISS_FRACTION * np.maximum(self.thresholds,
+                                                           1e-12)
+        self._frontier_ids = np.array(
+            [_feature_hash(FRONTIER_EVENT, unit, 0) for unit in units],
+            dtype=np.uint64)
+        self._ids = np.array(
+            [_feature_hash(event, unit, bucket)
+             for event in self.event_indices.tolist()
+             for unit in units for bucket in _SIGNED_BUCKETS],
+            dtype=np.uint64).reshape(len(self.event_indices), len(units),
+                                     len(_SIGNED_BUCKETS))
 
-    def extract(self, signals, deltas) -> CoverageSample:
-        """Coverage of one measurement.
+    def extract_many(self, signals, deltas) -> "list[CoverageSample]":
+        """Coverage of a batch of measurements, one sample per row.
 
-        ``signals`` is the gadget's raw program signal vector;
-        ``deltas`` the measured per-event screening deltas (aligned
-        with ``event_indices``).
+        ``signals`` is ``(N, NUM_SIGNALS)``: each gadget's raw program
+        signal vector; ``deltas`` is ``(N, E)``: the measured
+        per-event screening deltas (columns aligned with
+        ``event_indices``).
         """
-        signals = np.asarray(signals, dtype=np.float64)
-        deltas = np.asarray(deltas, dtype=np.float64)
-        units = self._units
-        onehot = self._unit_onehot
+        signals = np.asarray(signals, dtype=np.float64).reshape(
+            -1, self.weights.shape[1])
+        count = len(signals)
+        deltas = np.asarray(deltas, dtype=np.float64).reshape(
+            count, len(self.thresholds))
+        # Noise-free expected response, one matrix-vector product per
+        # row: it carries the bucket sign (weights may be negative) and
+        # decides near misses.
+        expected = np.empty_like(deltas)
+        for row in range(count):
+            expected[row] = self.weights @ signals[row]
+        masks = np.bitwise_or.reduce(
+            np.where(signals != 0.0, self._signal_bits, np.uint64(0)),
+            axis=1)
 
-        # Unit frontier: which units does this gadget exercise at all?
-        frontier = (signals != 0.0) @ onehot
-        features = {feature_id(FRONTIER_EVENT, units[u], 0)
-                    for u in np.flatnonzero(frontier)}
+        # Unit frontier: which units does each gadget exercise at all?
+        frontier_rows, frontier_units = np.nonzero(
+            masks[:, None] & self._unit_bits)
 
-        # Noise-free expected response carries the sign (weights may be
-        # negative); measured deltas decide *whether* an event responded,
-        # with exact parity to campaign screening.
-        expected = self.weights @ signals
-        responding = np.flatnonzero(deltas > self.thresholds)
-        events = self.event_indices[responding].tolist()
-        measured = deltas[responding].tolist()
-        buckets = [(1 if positive else -1)
-                   * _magnitude_bucket(delta, threshold)
-                   for positive, delta, threshold in zip(
-                       (expected[responding] >= 0.0).tolist(), measured,
-                       self.thresholds[responding].tolist())]
+        # Measured deltas decide *whether* an event responded, with
+        # exact parity to campaign screening.
+        rows, columns = np.nonzero(deltas > self.thresholds)
+        measured = deltas[rows, columns]
+        thresholds = self.thresholds[columns]
+        ratio = np.divide(measured, thresholds,
+                          out=np.zeros_like(measured),
+                          where=thresholds > 0.0)
+        # Column of the signed bucket in the id table: magnitude - 1,
+        # plus 4 for a non-negative expected response.
+        bucket = ((ratio[:, None] >= self._edges).sum(axis=1)
+                  + (MAX_MAGNITUDE_BUCKET + 1)
+                  * (expected[rows, columns] >= 0.0))
         # (responding event × unit) hits: the units an event's weight
-        # row actually reaches through this gadget's signals.
-        hits = ((self.weights[responding] * signals) != 0.0) @ onehot
-        for row, u in zip(*np.nonzero(hits)):
-            features.add(feature_id(events[row], units[u], buckets[row]))
-        responses = tuple(zip(events, measured))
+        # row reaches through the gadget's touched signals.
+        hit, hit_units = np.nonzero(self._reach[columns]
+                                    & masks[rows, None])
 
-        near_mask = ((deltas <= self.thresholds)
-                     & (np.abs(expected) > NEAR_MISS_FRACTION
-                        * np.maximum(self.thresholds, 1e-12)))
-        near = tuple(int(self.event_indices[j])
-                     for j in np.flatnonzero(near_mask))
-        return CoverageSample(features=tuple(sorted(features)),
-                              responses=responses, near=near)
+        feature_rows = np.concatenate((frontier_rows, rows[hit]))
+        features = np.concatenate((
+            self._frontier_ids[frontier_units],
+            self._ids[columns[hit], hit_units, bucket[hit]]))
+        order = np.lexsort((features, feature_rows))
+        feature_rows, features = feature_rows[order], features[order]
+        unique = np.ones(len(features), dtype=bool)
+        unique[1:] = ((features[1:] != features[:-1])
+                      | (feature_rows[1:] != feature_rows[:-1]))
+
+        near_rows, near_columns = np.nonzero(
+            (deltas <= self.thresholds)
+            & (np.abs(expected) > self._near_floor))
+        events = self.event_indices
+        return [CoverageSample(features=f, responses=r, near=n)
+                for f, r, n in zip(
+                    _split_rows(feature_rows[unique],
+                                features[unique].tolist(), count),
+                    _split_rows(rows, list(zip(events[columns].tolist(),
+                                               measured.tolist())), count),
+                    _split_rows(near_rows, events[near_columns].tolist(),
+                                count))]
 
 
 class CoverageMap:

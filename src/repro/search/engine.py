@@ -8,7 +8,11 @@ or on one worker pool per search, with identical chunk boundaries
 either way — and reduces the outcomes sequentially in plan order.
 Measurements go through the campaign's screening kernel; the search
 adds its name index, mutator and coverage extractor
-(:func:`search_evaluator`), built before the pool forks.  Every random
+(:func:`search_evaluator`), built before the pool forks, so workers
+inherit the extractor's feature-id tables.  A chunk measures all of its
+tasks, then reduces the measurements to coverage in one
+:meth:`~repro.search.coverage.CoverageExtractor.extract_many` call;
+minimization trials make the same call with one row.  Every random
 draw comes from a ``derive_stream`` leaf keyed on stable labels, and
 the reduction is a pure fold over outcomes sorted by evaluation index,
 so the corpus, coverage map, and responder pool are bit-identical for
@@ -189,9 +193,11 @@ class SearchEvaluator:
         return tuple(by_name[names[i]] for i in np.flatnonzero(bits).tolist())
 
     def measure(self, gadget: Gadget, stream):
-        """Coverage of one screening measurement from the reset state."""
+        """Coverage of one screening measurement from the reset state:
+        a one-row :meth:`CoverageExtractor.extract_many` call."""
         measured = self.kernel.measure(gadget, stream)
-        return self.extractor.extract(measured.signals, measured.deltas)
+        return self.extractor.extract_many([measured.signals],
+                                           [measured.deltas])[0]
 
     def evaluate(self, tasks, cold=(), memo=None) -> "tuple[list, dict]":
         """Evaluate one chunk of search tasks under a round's memo.
@@ -204,14 +210,17 @@ class SearchEvaluator:
         read.  The batch engine's archetype memo starts as ``memo``, the
         round-start snapshot the search ships with every chunk of a
         round, so the ``batch.*`` counters and the entries learned are a
-        pure function of (tasks, cold, memo).  Returns the outcomes and
-        the memo entries the chunk learned.
+        pure function of (tasks, cold, memo).  The chunk's tasks are
+        measured in plan order first; one
+        :meth:`CoverageExtractor.extract_many` call then turns all of
+        their measurements into coverage.  Returns the outcomes and the
+        memo entries the chunk learned.
         """
         config = self.config
         memo = memo or {}
         batch.seed_memo(memo)
         cold_specs = self.cold_specs(cold)
-        outcomes = []
+        gadgets, measured = [], []
         for task in tasks:
             if task.kind == "sample":
                 gadget, stream = self.kernel.sample(task.sample_index)
@@ -225,7 +234,12 @@ class SearchEvaluator:
                                          task.parent_digest, task.child)
                 gadget = self.mutator.mutate(parent, stream,
                                              cold=cold_specs)
-            sample = self.measure(gadget, stream)
+            gadgets.append(gadget)
+            measured.append(self.kernel.measure(gadget, stream))
+        samples = self.extractor.extract_many(
+            [m.signals for m in measured], [m.deltas for m in measured])
+        outcomes = []
+        for task, gadget, sample in zip(tasks, gadgets, samples):
             reset = tuple(s.name for s in gadget.reset)
             trigger = tuple(s.name for s in gadget.trigger)
             outcomes.append(SearchOutcome(

@@ -50,6 +50,54 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fuzz", flag, value])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fuzz", "--events", "-1"], "non-negative"),
+        (["search", "--events", "-200"], "non-negative"),
+        (["profile", "--secrets", "-43"], "non-negative"),
+        (["deploy", "--secrets", "-1"], "non-negative"),
+        (["attack", "--secrets", "-1"], "non-negative"),
+        (["fuzz", "--budget", "0"], "positive"),
+        (["search", "--budget", "0"], "positive"),
+        (["deploy", "--budget", "-5"], "positive"),
+        (["profile", "--runs", "0"], "positive"),
+        (["deploy", "--runs", "0"], "positive"),
+        (["attack", "--runs", "-2"], "positive"),
+        (["profile", "--top", "0"], "positive"),
+        (["attack", "--epochs", "0"], "positive"),
+    ])
+    def test_bad_counts_are_parser_errors(self, argv, message, capsys):
+        # Counts used as ``[:n]`` must not slice from the end.
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"{argv[1]}: expected a {message} integer" \
+            in capsys.readouterr().err
+
+    def test_zero_counts_still_mean_all(self, monkeypatch, capsys):
+        from repro.core import Aegis
+        from repro.core.profiler import ApplicationProfiler
+        from repro.cpu.events import processor_catalog
+        events = int(processor_catalog("amd-epyc-7252")
+                     .guest_sensitive.sum())
+        assert main(["search", "--events", "0", "--budget", "1"]) == 0
+        assert f"of {events} events" in capsys.readouterr().out
+
+        class Stop(Exception):
+            pass
+
+        asked = []
+
+        def record(self, secrets=None):
+            asked.append(secrets)
+            raise Stop
+
+        monkeypatch.setattr(ApplicationProfiler, "profile", record)
+        monkeypatch.setattr(Aegis, "deploy", record)
+        for command in ("profile", "deploy"):
+            with pytest.raises(Stop):
+                main([command, "--secrets", "0"])
+        assert asked == [None, None]
+
     def test_resume_requires_checkpoint_dir(self, capsys):
         with pytest.raises(SystemExit, match="--checkpoint-dir"):
             main(["fuzz", "--budget", "32", "--events", "2", "--resume"])

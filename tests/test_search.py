@@ -36,8 +36,8 @@ from repro.search import (Corpus, CorpusEntry, CoverageExtractor,
                           FrontierScheduler, SearchError, UNIT_OF_SIGNAL,
                           evals_to_cover, feature_id, gadget_digest)
 from repro.search.corpus import build_name_index
-from repro.search.coverage import (FRONTIER_EVENT, MAX_MAGNITUDE_BUCKET,
-                                   NEAR_MISS_FRACTION)
+from repro.search.coverage import (BUCKET_EDGES, FRONTIER_EVENT,
+                                   MAX_MAGNITUDE_BUCKET, NEAR_MISS_FRACTION)
 from repro.search.engine import (SEARCH_STATE_FILE, SearchEvaluator,
                                  SearchTask, chunk_bounds,
                                  evaluate_search_chunk, search_evaluator)
@@ -193,7 +193,8 @@ def _reference_bucket(delta, threshold):
 
 
 def reference_extract(extractor, signals, deltas):
-    """The per-event loop ``CoverageExtractor.extract`` must match."""
+    """The per-event loop ``CoverageExtractor.extract_many`` must match
+    row by row."""
     unit_of = tuple(UNIT_OF_SIGNAL[Signal(s)]
                     for s in range(extractor.weights.shape[1]))
     signals = np.asarray(signals, dtype=np.float64)
@@ -221,17 +222,27 @@ def reference_extract(extractor, signals, deltas):
                           responses=tuple(responses), near=near)
 
 
+def reference_rows(extractor, signals, deltas):
+    return [reference_extract(extractor, row_signals, row_deltas)
+            for row_signals, row_deltas in zip(signals, deltas)]
+
+
 # Small dyadic weights and signals make exact cancellations (a zero
 # expected response from nonzero products) reachable.
 _WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
                      st.floats(-4.0, 4.0, allow_nan=False))
 _THRESHOLDS = st.one_of(st.just(0.0), st.floats(-8.0, -1e-3),
                         st.floats(1e-3, 64.0))
+#: Multiples of a threshold on or near a bucket edge: the log4 powers
+#: and the edges ``math.log2`` puts just below 16 and 64.
+_EDGE_SCALES = st.sampled_from(
+    [4.0 ** k for k in range(6)] + list(BUCKET_EDGES))
 
 
 @st.composite
 def extraction_cases(draw):
-    """(extractor, signals, deltas) with bucket-edge deltas."""
+    """(extractor, signals, deltas): 0-8 measurements under one
+    extractor, with bucket-edge deltas."""
     count = draw(st.integers(1, 8))
     weights = np.array(draw(st.lists(
         st.lists(_WEIGHTS, min_size=NUM_SIGNALS, max_size=NUM_SIGNALS),
@@ -240,22 +251,30 @@ def extraction_cases(draw):
                                max_size=count))
     extractor = CoverageExtractor(SimpleNamespace(weights=weights),
                                   tuple(range(count)), thresholds)
-    signals = np.array(draw(st.lists(
+    # Each row touches its own subset of one drawn signal vector.
+    base = np.array(draw(st.lists(
         st.one_of(st.just(0), st.integers(1, 3), st.integers(-3, 400)),
         min_size=NUM_SIGNALS, max_size=NUM_SIGNALS)))
-    responders = draw(st.sampled_from(("mixed", "none", "all")))
-    deltas = []
-    for threshold in thresholds:
-        # Exactly on a log4 bucket edge, or one float below it.
-        edge = threshold * 4.0 ** draw(st.integers(0, 5))
-        if draw(st.booleans()):
-            edge = float(np.nextafter(edge, -np.inf))
-        if responders == "none":
-            edge = min(edge, threshold)
-        elif responders == "all":
-            edge = max(edge, float(np.nextafter(threshold, np.inf)))
-        deltas.append(edge)
-    return extractor, signals, np.array(deltas)
+    rows = draw(st.integers(0, 8))
+    signals, deltas = [], []
+    for _ in range(rows):
+        touched = draw(st.integers(0, 2 ** NUM_SIGNALS - 1))
+        signals.append(base * ((touched >> np.arange(NUM_SIGNALS)) & 1))
+        responders = draw(st.sampled_from(("mixed", "none", "all")))
+        row = []
+        for threshold in thresholds:
+            # On a bucket edge, or up to two floats below it.
+            edge = threshold * draw(_EDGE_SCALES)
+            for _ in range(draw(st.integers(0, 2))):
+                edge = float(np.nextafter(edge, -np.inf))
+            if responders == "none":
+                edge = min(edge, threshold)
+            elif responders == "all":
+                edge = max(edge, float(np.nextafter(threshold, np.inf)))
+            row.append(edge)
+        deltas.append(row)
+    return (extractor, np.array(signals).reshape(rows, NUM_SIGNALS),
+            np.array(deltas).reshape(rows, count))
 
 
 def _cancelling_case():
@@ -263,11 +282,30 @@ def _cancelling_case():
     weights = np.zeros((1, NUM_SIGNALS))
     weights[0, Signal.CYCLES] = 1.0
     weights[0, Signal.LOADS] = -1.0
-    signals = np.zeros(NUM_SIGNALS, dtype=int)
-    signals[[Signal.CYCLES, Signal.LOADS]] = 2
+    signals = np.zeros((1, NUM_SIGNALS), dtype=int)
+    signals[0, [Signal.CYCLES, Signal.LOADS]] = 2
     extractor = CoverageExtractor(SimpleNamespace(weights=weights), (0,),
                                   (1.0,))
-    return extractor, signals, np.array([4.0])
+    return extractor, signals, np.array([[4.0]])
+
+
+@pytest.fixture(scope="module")
+def measured_gadgets(search_config):
+    """Real catalog weights and 48 real screening measurements: the
+    extractor and the stacked ``(signals, deltas)`` rows."""
+    evaluator = SearchEvaluator(search_config)
+    kernel = evaluator.kernel
+    events = np.asarray(search_config.event_indices)
+    signals, deltas = [], []
+    for index in range(48):
+        gadget = kernel.grammar.sample(
+            rng=campaign_mod.gadget_stream(search_config.entropy, index))
+        kernel.core.reset_microarch_state()
+        kernel.harness.warm_measurement_state()
+        measured = kernel.harness.screen_measure(gadget, events)
+        signals.append(measured.signals)
+        deltas.append(measured.deltas)
+    return evaluator.extractor, np.array(signals), np.array(deltas)
 
 
 class TestCoverageExtractor:
@@ -276,25 +314,43 @@ class TestCoverageExtractor:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_event_loop(self, case):
         extractor, signals, deltas = case
-        assert extractor.extract(signals, deltas) \
-            == reference_extract(extractor, signals, deltas)
+        assert extractor.extract_many(signals, deltas) \
+            == reference_rows(extractor, signals, deltas)
 
-    def test_matches_on_measured_gadgets(self, search_config):
-        # Real catalog weights and real screening measurements.
-        evaluator = SearchEvaluator(search_config)
-        kernel = evaluator.kernel
-        events = np.asarray(search_config.event_indices)
-        extractor = evaluator.extractor
-        for index in range(48):
-            gadget = kernel.grammar.sample(
-                rng=campaign_mod.gadget_stream(search_config.entropy,
-                                               index))
-            kernel.core.reset_microarch_state()
-            kernel.harness.warm_measurement_state()
-            measured = kernel.harness.screen_measure(gadget, events)
-            assert extractor.extract(measured.signals, measured.deltas) \
-                == reference_extract(extractor, measured.signals,
-                                     measured.deltas)
+    def test_matches_on_measured_gadgets(self, measured_gadgets):
+        extractor, signals, deltas = measured_gadgets
+        samples = extractor.extract_many(signals, deltas)
+        assert samples == reference_rows(extractor, signals, deltas)
+        assert any(sample.responses for sample in samples)
+        # The corpus serializes samples as JSON: plain Python values.
+        sample = next(s for s in samples if s.responses)
+        assert type(sample.features[0]) is int
+        assert [type(v) for v in sample.responses[0]] == [int, float]
+
+    def test_bucket_edges_are_where_math_log2_crosses(self):
+        for k, edge in enumerate(BUCKET_EDGES, start=1):
+            assert math.log2(edge) >= 2 * k \
+                > math.log2(math.nextafter(edge, 0.0))
+
+    def test_extraction_computes_no_sha256(self, search_config,
+                                           measured_gadgets, monkeypatch):
+        # Every id is tabulated when the extractor is built (before a
+        # pool forks), never on a worker's first extraction.
+        _, signals, deltas = measured_gadgets
+        sha256, calls = hashlib.sha256, []
+
+        def counting(*args):
+            calls.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        extractor = CoverageExtractor(
+            search_evaluator(search_config).kernel.core.catalog,
+            search_config.event_indices, search_config.thresholds)
+        built = len(calls)
+        samples = extractor.extract_many(signals, deltas)
+        assert built > 0 and len(calls) == built
+        assert any(sample.features for sample in samples)
 
     def test_feature_id_is_memoized(self):
         assert feature_id(3, "l1d", -2) == _reference_feature_id(
@@ -489,6 +545,18 @@ class TestCoverageSearch:
         result = baseline if workers == 1 else CoverageSearch(
             search_config, max_evals=MAX_EVALS, workers=workers).run()
         assert pinned(result)
+
+    def test_scalar_interpreter_hits_the_pinned_digests(self, search_config,
+                                                        monkeypatch):
+        # The carried memo lives on the batch path only: with the engine
+        # off, every measurement runs the scalar interpreter.
+        monkeypatch.setattr(batch, "FORCE_SCALAR", True)
+        with telemetry.session(trace_dir=None, process="main"):
+            result = CoverageSearch(search_config,
+                                    max_evals=MAX_EVALS).run()
+            counters = telemetry.metrics().snapshot()["counters"]
+        assert pinned(result)
+        assert counters["batch.fallback_scalar"] == counters["batch.evals"]
 
     def test_corpus_dir_mirrors_admissions(self, search_config, baseline,
                                            tmp_path):
