@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.fuzzer.grammar import Gadget
 from repro.cpu import batch
-from repro.cpu.core import Core
+from repro.cpu.core import Core, decode_spec
 from repro.isa.spec import Instruction, InstructionSpec, Program
 from repro.utils.rng import derive_streams, ensure_rng
 
@@ -106,43 +106,41 @@ class ExecutionHarness:
 
     # -- program construction ------------------------------------------
 
-    def _place(self, spec: InstructionSpec, address: int) -> Instruction:
-        mem = self.core.data_page.base if (spec.reads_memory
-                                           or spec.writes_memory
-                                           or "m" in spec.operand_form.value
-                                           ) else 0
-        return Instruction(spec=spec, address=address, mem_operand=mem,
-                           taken=True)
-
     def build_program(self, body: list[InstructionSpec], repeats: int = 1,
                       include_frame: bool = True) -> Program:
         """Prolog + body*repeats + epilog, placed in the code page.
+
+        Instructions sit 4 bytes apart from the code page's base; every
+        variant with a memory operand (its decoded ``mem_operand``
+        flag) points at the data page.
 
         ``include_frame=False`` emits the bare body — used between
         in-execution RDPMC reads, where the prolog/epilog counts would
         pollute every per-iteration delta.
         """
-        program = Program()
-        address = self.core.code_page.base
+        prolog: list[InstructionSpec] = []
+        epilog: list[InstructionSpec] = []
         if include_frame and self._push is not None:
-            for _ in range(_CALLEE_SAVED):
-                program.append(self._place(self._push, address))
-                address += 4
+            prolog.extend([self._push] * _CALLEE_SAVED)
         if include_frame and self._serialize is not None:
-            program.append(self._place(self._serialize, address))
-            address += 4
-        for _ in range(repeats):
-            for spec in body:
-                program.append(self._place(spec, address))
-                address += 4
-        if include_frame and self._serialize is not None:
-            program.append(self._place(self._serialize, address))
-            address += 4
+            prolog.append(self._serialize)
+            epilog.append(self._serialize)
         if include_frame and self._pop is not None:
-            for _ in range(_CALLEE_SAVED):
-                program.append(self._place(self._pop, address))
-                address += 4
-        return program
+            epilog.extend([self._pop] * _CALLEE_SAVED)
+        body = list(body)
+        data = self.core.data_page.base
+
+        def operands(specs: list[InstructionSpec]) -> list[int]:
+            return [data if decode_spec(spec).mem_operand else 0
+                    for spec in specs]
+
+        specs = prolog + body * repeats + epilog
+        placed = (operands(prolog) + operands(body) * repeats
+                  + operands(epilog))
+        base = self.core.code_page.base
+        return Program([
+            Instruction(spec, base + 4 * i, operand, True)
+            for i, (spec, operand) in enumerate(zip(specs, placed))])
 
     def measure_executions(self, paths: list[list[InstructionSpec]],
                            event_indices: np.ndarray, iterations: int,

@@ -44,11 +44,12 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.cpu.core import _SIMPLE_SIGNALS, decode_spec
 from repro.cpu.signals import NUM_SIGNALS, Signal
 from repro.isa.spec import InstructionClass, InstructionSpec, Program
 from repro.telemetry import runtime as telemetry
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.core import Core, ExecutionResult
 
 #: Environment switch that forces the scalar interpreter everywhere.
@@ -93,21 +94,6 @@ def count_fallback(n: int = 1) -> None:
 
 
 # -- spec profiles ---------------------------------------------------------
-
-#: Class signals charged by the scalar ``_execute_simple`` handler.
-_SIMPLE_SIGNALS: dict[InstructionClass, Signal] = {
-    InstructionClass.ALU: Signal.BIT_OPS,
-    InstructionClass.BIT: Signal.BIT_OPS,
-    InstructionClass.MUL: Signal.MUL_OPS,
-    InstructionClass.DIV: Signal.DIV_OPS,
-    InstructionClass.X87: Signal.X87_OPS,
-    InstructionClass.SIMD_INT: Signal.SIMD_OPS,
-    InstructionClass.SIMD_FP: Signal.FP_OPS,
-    InstructionClass.FMA: Signal.FP_OPS,
-    InstructionClass.CRYPTO: Signal.CRYPTO_OPS,
-    InstructionClass.NOP: Signal.NOP_OPS,
-    InstructionClass.FENCE: Signal.SERIALIZING,
-}
 
 #: Classes whose handlers never touch cache/TLB/branch/prefetch state
 #: (FENCE/SERIALIZE only charge the pipeline stall counter, which is
@@ -171,9 +157,8 @@ def _arch_of(spec: InstructionSpec) -> "tuple | str | None":
     if ic is InstructionClass.TLB_FLUSH:
         return "tlbf"
     if ic is InstructionClass.STRING:
-        rep = spec.mnemonic.startswith("REP")
-        writes = spec.mnemonic.lstrip("REP ").startswith(("MOVS", "STOS"))
-        return ("str", rep, writes)
+        record = decode_spec(spec)
+        return ("str", record.string_repeats > 1, record.string_writes)
     return None  # SYSTEM (faults) and anything unknown
 
 
@@ -220,10 +205,10 @@ def _static_row(spec: InstructionSpec) -> np.ndarray:
     elif ic is InstructionClass.TLB_FLUSH:
         row[Signal.TLB_FLUSHES] += 1.0
     elif ic is InstructionClass.STRING:
-        repeats = 8 if spec.mnemonic.startswith("REP") else 1
-        row[Signal.LOADS] += float(repeats)
-        if spec.mnemonic.lstrip("REP ").startswith(("MOVS", "STOS")):
-            row[Signal.STORES] += float(repeats)
+        record = decode_spec(spec)
+        row[Signal.LOADS] += float(record.string_repeats)
+        if record.string_writes:
+            row[Signal.STORES] += float(record.string_repeats)
     return row
 
 
@@ -241,7 +226,7 @@ def spec_profile(spec: InstructionSpec) -> SpecProfile:
     profile = _PROFILE_CACHE.get(id(spec))
     if profile is None:
         issue = (max(1, round(spec.uops / _DISPATCH_WIDTH))
-                 + max(0, (spec.latency - 1) // 4))
+                 + decode_spec(spec).exposed_latency)
         profile = SpecProfile(spec=spec, arch=_arch_of(spec),
                               static_signals=_static_row(spec),
                               issue_cycles=issue)

@@ -33,14 +33,21 @@ class BranchPredictor:
         return bool(self._table[self._index(pc)] >= 2)
 
     def update(self, pc: int, taken: bool) -> bool:
-        """Record the branch outcome; returns True on mispredict."""
+        """Record the branch outcome; returns True on mispredict.
+
+        Reads the counter once as a Python int and writes it back only
+        when it moves: each numpy scalar access costs more than the
+        model's own arithmetic.
+        """
+        table = self._table
         index = self._index(pc)
-        predicted = self._table[index] >= 2
-        mispredicted = bool(predicted) != bool(taken)
-        if taken and self._table[index] < 3:
-            self._table[index] += 1
-        elif not taken and self._table[index] > 0:
-            self._table[index] -= 1
+        counter = table.item(index)
+        mispredicted = (counter >= 2) != bool(taken)
+        if taken:
+            if counter < 3:
+                table[index] = counter + 1
+        elif counter > 0:
+            table[index] = counter - 1
         self._history = ((self._history << 1) | int(taken))
         self.predictions += 1
         self.mispredictions += int(mispredicted)

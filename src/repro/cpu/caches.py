@@ -84,7 +84,9 @@ class Cache:
         the caller is responsible for propagating the miss to the next
         level.
         """
-        set_index, tag = self._locate(address)
+        line = address // self.line_size
+        set_index = line % self.num_sets
+        tag = line // self.num_sets
         ways = self._sets.get(set_index)
         if ways is None:
             ways = self._sets[set_index] = OrderedDict()
@@ -143,9 +145,13 @@ class Cache:
                      for i in sorted(self._sets))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessOutcome:
-    """Which levels an access hit/missed and whether memory was reached."""
+    """Which levels an access hit/missed and whether memory was reached.
+
+    Only four outcomes exist; :meth:`CacheHierarchy.access` returns one
+    of four shared instances, so an access allocates nothing.
+    """
 
     l1_hit: bool
     l2_hit: bool
@@ -155,6 +161,12 @@ class AccessOutcome:
     @property
     def l1_miss(self) -> bool:
         return not self.l1_hit
+
+
+_L1_HIT = AccessOutcome(True, True, True, False)
+_L2_HIT = AccessOutcome(False, True, True, False)
+_LLC_HIT = AccessOutcome(False, False, True, False)
+_MEMORY = AccessOutcome(False, False, False, True)
 
 
 class CacheHierarchy:
@@ -176,12 +188,12 @@ class CacheHierarchy:
     def access(self, address: int, write: bool = False) -> AccessOutcome:
         """Access ``address`` through the hierarchy."""
         if self.l1.access(address, write):
-            return AccessOutcome(True, True, True, False)
+            return _L1_HIT
         if self.l2.access(address, write):
-            return AccessOutcome(False, True, True, False)
+            return _L2_HIT
         if self.llc.access(address, write):
-            return AccessOutcome(False, False, True, False)
-        return AccessOutcome(False, False, False, True)
+            return _LLC_HIT
+        return _MEMORY
 
     def flush(self, address: int) -> None:
         """CLFLUSH: evict the line from every level."""

@@ -67,13 +67,20 @@ class MemoryMap:
         return None
 
     def check_write(self, address: int) -> None:
-        """Raise ``PermissionError`` unless ``address`` is writable."""
-        page = self.page_of(address)
-        if page is None:
-            raise PermissionError(f"write to unmapped address {address:#x}")
-        if not page.writable:
-            raise PermissionError(
-                f"write to read-only page {page.name!r} at {address:#x}")
+        """Raise ``PermissionError`` unless ``address`` is writable.
+
+        Runs on every simulated store, so it tests the page bounds
+        inline rather than through :meth:`page_of`.
+        """
+        for page in self._pages.values():
+            base = page.base
+            if base <= address < base + page.size:
+                if not page.writable:
+                    raise PermissionError(
+                        f"write to read-only page {page.name!r} at "
+                        f"{address:#x}")
+                return
+        raise PermissionError(f"write to unmapped address {address:#x}")
 
     @property
     def pages(self) -> list[Page]:

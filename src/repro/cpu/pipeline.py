@@ -25,6 +25,13 @@ class PipelinePenalties:
     serialize: int = 120
     interrupt: int = 800
 
+    def __post_init__(self) -> None:
+        # The interpreter charges these without Pipeline.stall's check.
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(
+                    f"penalty {name} must be non-negative, got {value}")
+
 
 class Pipeline:
     """Accumulates uops and converts them to cycles.
@@ -53,6 +60,7 @@ class Pipeline:
         Base cost models a throughput-bound stream: ``uops`` divided by
         the dispatch width, with a floor so long-latency instructions
         (DIV, CPUID) still cost more than a cycle even in a stream.
+        :meth:`Core.execute_program` charges exactly this inline.
         """
         if uops < 1:
             raise ValueError(f"uops must be >= 1, got {uops}")

@@ -14,6 +14,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 
+#: What :meth:`StridePrefetcher.observe` returns when it issues nothing.
+_NOTHING: tuple[()] = ()
+
+
 @dataclass
 class StrideEntry:
     """One prefetch-table entry."""
@@ -47,15 +51,20 @@ class StridePrefetcher:
         self.issued = 0
         self.trained = 0
 
-    def observe(self, pc: int, address: int) -> list[int]:
-        """Record a demand access; returns addresses to prefetch."""
-        entry = self._table.get(pc)
+    def observe(self, pc: int, address: int) -> "list[int] | tuple[()]":
+        """Record a demand access; returns addresses to prefetch.
+
+        Most accesses issue nothing and get one shared empty tuple, so
+        observing allocates only the prefetches it issues.
+        """
+        table = self._table
+        entry = table.get(pc)
         if entry is None:
-            if len(self._table) >= self.table_entries:
-                self._table.popitem(last=False)
-            self._table[pc] = StrideEntry(last_address=address)
-            return []
-        self._table.move_to_end(pc)
+            if len(table) >= self.table_entries:
+                table.popitem(last=False)
+            table[pc] = StrideEntry(last_address=address)
+            return _NOTHING
+        table.move_to_end(pc)
         stride = address - entry.last_address
         if stride != 0 and stride == entry.stride:
             entry.confidence = min(3, entry.confidence + 1)
@@ -69,7 +78,7 @@ class StridePrefetcher:
                           for i in range(self.depth)]
             self.issued += len(prefetches)
             return prefetches
-        return []
+        return _NOTHING
 
     def reset(self) -> None:
         """Flush the table (context/world switch)."""

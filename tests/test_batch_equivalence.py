@@ -72,9 +72,10 @@ def family_specs():
     return families
 
 
-def paired_cores(seed):
+def paired_cores(seed, twin=Core):
+    """A core and a ``twin``-class core built from the same seed."""
     return (Core(MODEL, rng=np.random.default_rng(seed)),
-            Core(MODEL, rng=np.random.default_rng(seed)))
+            twin(MODEL, rng=np.random.default_rng(seed)))
 
 
 def assert_results_identical(scalar, vectorized):

@@ -6,7 +6,7 @@ import pytest
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.interrupts import InterruptSource
 from repro.cpu.memory import MemoryMap, PAGE_SIZE
-from repro.cpu.pipeline import Pipeline
+from repro.cpu.pipeline import Pipeline, PipelinePenalties
 from repro.cpu.tlb import Tlb
 
 
@@ -109,6 +109,8 @@ class TestPipeline:
             pipe.stall(-1)
         with pytest.raises(ValueError):
             Pipeline(dispatch_width=0)
+        with pytest.raises(ValueError):
+            PipelinePenalties(tlb_miss=-1)
 
 
 class TestMemoryMap:

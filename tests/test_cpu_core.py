@@ -87,6 +87,48 @@ class TestDetailedPath:
         assert core.hpc.rdpmc(0) > before
 
 
+class TestWriteFaults:
+    """A write to a read-only or unmapped page ends execution as a #PF
+    fault, with the signals and cycles counted so far, whichever
+    handler makes it and on every entry point."""
+
+    READ_ONLY = "#PF: write to read-only page 'code' at 0x10000000"
+    UNMAPPED = "#PF: write to unmapped address 0x10003038"
+
+    @pytest.mark.parametrize("name,where,fault", [
+        ("MOV m64,r64", "code", READ_ONLY),
+        ("MOVNTI m64,r64", "code", READ_ONLY),
+        ("MOVNTDQ m128,xmm", "code", READ_ONLY),
+        ("ADD m64,r64", "code", READ_ONLY),
+        ("AND m64,r64", "code", READ_ONLY),
+        # The read at the data page's last word succeeds; the write 64
+        # bytes further lands in the guard gap.
+        ("MOVSB", "data_end", UNMAPPED),
+        ("REP STOSQ", "data_end", UNMAPPED),
+    ])
+    def test_write_fault_on_every_entry_point(self, isa_catalog, name,
+                                              where, fault):
+        cores = [Core("amd-epyc-7252", rng=np.random.default_rng(42))
+                 for _ in range(3)]
+        operand = {"code": cores[0].code_page.base,
+                   "data_end": cores[0].data_page.end - 8}[where]
+        program = _program(cores[0], [name], isa_catalog, mem=operand)
+        single = cores[0].execute_program(program)
+        assert single.faulted and single.fault_name == fault
+        assert single.signals[Signal.INSTRUCTIONS] == 1
+        assert single.signals[Signal.L1D_ACCESS] == (where == "data_end")
+        assert single.signals[Signal.CYCLES] == 0  # never reached
+        assert single.cycles > 0
+        batched = cores[1].execute_batch(program, repeats=3)
+        assert [(r.faulted, r.fault_name) for r in batched] \
+            == [(True, fault)] * 3
+        assert np.array_equal(batched[0].signals, single.signals)
+        assert batched[0].cycles == single.cycles
+        matrix = cores[2].execute_signals(program, 3)
+        for result, row in zip(batched, matrix):
+            assert np.array_equal(result.signals, row)
+
+
 class TestBlockPath:
     def test_block_counts_flow_to_hpc(self, core):
         core.hpc.program(0, "RETIRED_UOPS")
