@@ -328,11 +328,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if cstats.retries or cstats.quarantined or cstats.pool_restarts:
         _say(f"resilience: {cstats.retries} retries "
              f"({cstats.timeouts} timeouts), {cstats.bisections} "
-             f"bisections, {cstats.pool_restarts} pool restarts, "
+             f"bisections, {cstats.pool_restarts} workers replaced, "
              f"{len(cstats.quarantined)} gadgets quarantined")
-    for record in cstats.quarantined:
-        _say(f"  quarantined gadget {record.gadget_index} "
-             f"after {record.attempts} attempts: {record.detail}")
+    for failure in cstats.quarantined:
+        _say(f"  quarantined gadget {failure.shard_start} "
+             f"after {failure.attempt + 1} attempts: {failure.detail}")
     _say(f"cleanup: {len(report.cleanup.legal)} of "
          f"{report.cleanup.total_variants} variants legal "
          f"({report.cleanup.legal_fraction:.1%})")

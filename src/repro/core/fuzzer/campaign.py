@@ -50,8 +50,8 @@ from repro.isa.legality import MICROARCH_PROFILES
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, corrupt_text
 from repro.resilience.supervisor import (
-    QuarantineRecord,
     ShardFailure,
+    ShardSpec,
     ShardSupervisor,
     SupervisorPolicy,
     run_task,
@@ -72,19 +72,6 @@ DEFAULT_SHARD_SIZE = 256
 
 #: Checkpoint artifact schema version.
 CHECKPOINT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One contiguous slice of the gadget budget."""
-
-    index: int
-    start: int
-    count: int
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.count
 
 
 @dataclass(frozen=True)
@@ -480,12 +467,13 @@ class CampaignStats:
     timeouts: int = 0
     bisections: int = 0
     pool_restarts: int = 0
-    quarantined: list[QuarantineRecord] = field(default_factory=list)
+    #: The final failure of each gadget left out of the report.
+    quarantined: list[ShardFailure] = field(default_factory=list)
 
     @property
     def quarantined_gadgets(self) -> list[int]:
         """Gadget indices excluded from the report by quarantine."""
-        return [record.gadget_index for record in self.quarantined]
+        return [failure.shard_start for failure in self.quarantined]
 
     def critical_path(self, workers: int | None = None) -> float:
         return critical_path_seconds(self.shard_cpu_seconds,
@@ -542,10 +530,6 @@ class FuzzingCampaign:
     corpus_dir:
         Coverage strategy only: directory mirroring corpus admissions
         on disk (persistent across campaigns).
-    search_options:
-        Coverage strategy only: extra keyword arguments forwarded to
-        :class:`~repro.search.engine.CoverageSearch` (e.g.
-        ``target_events``, ``minimize``).
     """
 
     STRATEGIES = ("grammar", "coverage")
@@ -560,8 +544,7 @@ class FuzzingCampaign:
                  max_retries: int = 2,
                  supervisor_policy: "SupervisorPolicy | None" = None,
                  strategy: str = "grammar",
-                 corpus_dir: "str | Path | None" = None,
-                 search_options: "dict | None" = None) -> None:
+                 corpus_dir: "str | Path | None" = None) -> None:
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
         if resume and checkpoint_dir is None:
@@ -577,7 +560,6 @@ class FuzzingCampaign:
             raise CampaignError("cache_dir requires strategy='grammar'")
         self.strategy = strategy
         self.corpus_dir = Path(corpus_dir) if corpus_dir is not None else None
-        self.search_options = dict(search_options or {})
         self.search_result = None
         self.fuzzer = fuzzer
         self.workers = workers
@@ -607,7 +589,7 @@ class FuzzingCampaign:
         shard supervisor: failed shards are retried with backoff,
         repeatedly lethal shards are bisected down to the offending
         gadget (quarantined rather than aborting the campaign), and a
-        broken worker pool is rebuilt in place.
+        lost or hung worker costs only its own shard a retry.
         """
         events = np.asarray(event_indices, dtype=int)
         if len(events) == 0:
@@ -648,8 +630,7 @@ class FuzzingCampaign:
             corpus_dir=self.corpus_dir,
             checkpoint_dir=search_checkpoint,
             resume=self.resume,
-            fault_plan=self.fault_plan,
-            **self.search_options)
+            fault_plan=self.fault_plan)
 
         start = time.perf_counter()
         with tracer.span("fuzz.screening", strategy="coverage"):
@@ -719,18 +700,31 @@ class FuzzingCampaign:
                     self.fault_plan, shard_trace_dir,
                     (shard.start, shard.stop))
 
+        quarantined: list[ShardFailure] = []
+
+        def quarantine(failure: ShardFailure) -> ShardResult:
+            quarantined.append(failure)
+            registry = telemetry.metrics()
+            if registry.enabled:
+                registry.counter("fault.quarantined").inc()
+            logger.error(
+                "gadget %d quarantined after %d failed attempts (%s); "
+                "continuing without it", failure.shard_start,
+                failure.attempt + 1, failure.detail)
+            return ShardResult(
+                index=-1, start=failure.shard_start,
+                count=failure.shard_count,
+                screened={int(e): [] for e in config.event_indices})
+
+        workers = min(self.workers, max(1, len(pending)))
         supervisor = ShardSupervisor(
             fn=run_task, args=shard_args,
             on_result=lambda result: self._complete(
                 result, checkpoint_dir, fingerprint, results),
-            empty_result=lambda shard: ShardResult(
-                index=-1, start=shard.start, count=shard.count,
-                screened={int(e): [] for e in config.event_indices}),
-            policy=self.policy, workers=min(self.workers, max(1,
-                                                              len(pending))))
+            empty_result=quarantine, policy=self.policy, workers=workers)
         with tracer.span("fuzz.screening", shards=len(plan),
                          resumed=resumed), supervisor:
-            supervised = supervisor.run(pending)
+            supervised = supervisor.run(pending, processes=workers > 1)
         step_seconds["generation_execution"] = time.perf_counter() - start
 
         registry = telemetry.metrics()
@@ -760,7 +754,7 @@ class FuzzingCampaign:
             timeouts=supervised.timeouts,
             bisections=supervised.bisections,
             pool_restarts=supervised.pool_restarts,
-            quarantined=list(supervised.quarantined))
+            quarantined=quarantined)
         merged = merge_screened(results.values())
         return fuzzer.finalize(cleanup, merged, events, step_seconds)
 

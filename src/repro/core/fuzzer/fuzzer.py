@@ -196,8 +196,7 @@ class EventFuzzer:
             thresholds=tuple(float(t) for t in thresholds),
         )
 
-    def search_config(self, event_indices: np.ndarray,
-                      **overrides) -> "SearchConfig":
+    def search_config(self, event_indices: np.ndarray) -> "SearchConfig":
         """The coverage-search configuration for this fuzzer's events.
 
         :meth:`shard_config` plus the search's own fields, so the
@@ -206,8 +205,7 @@ class EventFuzzer:
         """
         from repro.search.engine import SearchConfig
 
-        return SearchConfig(**asdict(self.shard_config(event_indices)),
-                            **overrides)
+        return SearchConfig(**asdict(self.shard_config(event_indices)))
 
     def register_gadgets(self, gadgets: "dict[int, Gadget]") -> None:
         """Pre-populate the gadget replay memo (coverage campaigns).

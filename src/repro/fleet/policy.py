@@ -65,6 +65,10 @@ STATE_RANK = {state: rank for rank, state in enumerate(DEFENSE_STATES)}
 #: Noise-plan modes a state may select (mirrors the provisioner's tags).
 ESCALATED_MODES = ("laplace", "dstar")
 
+#: Retries of a faulted ``fleet.policy`` decision before it fails
+#: closed to QUARANTINED.
+POLICY_FAULT_RETRIES = 4
+
 
 @dataclass(frozen=True)
 class EscalationProfile:
@@ -269,29 +273,24 @@ class DefensePolicyEngine:
         shard-local — which is what keeps decisions reshard-invariant.
     base_epsilon:
         The artifact's per-slice ε every factor multiplies.
-    fault_retries / fault_attempt_bias:
-        The ``fleet.policy`` retry budget, and the shard recovery
-        generation added to every explicit attempt so a replayed
-        worker does not re-fire an already-absorbed fault.
+    fault_attempt_bias:
+        The shard recovery generation added to every explicit
+        ``fleet.policy`` attempt, so a replayed worker does not re-fire
+        an already-absorbed fault.
     """
 
     def __init__(self, profile, ledger, provisioner, seed: int,
-                 base_epsilon: float, fault_retries: int = 4,
-                 fault_attempt_bias: int = 0) -> None:
+                 base_epsilon: float, fault_attempt_bias: int = 0) -> None:
         resolved = resolve_profile(profile)
         if resolved is None:
             raise ValueError("DefensePolicyEngine needs a profile; got "
                              "None (leave the plane's policy unset "
                              "instead)")
-        if fault_retries < 0:
-            raise ValueError(
-                f"fault_retries must be >= 0, got {fault_retries}")
         self.profile = resolved
         self.ledger = ledger
         self.provisioner = provisioner
         self.seed = int(seed)
         self.base_epsilon = float(base_epsilon)
-        self.fault_retries = int(fault_retries)
         self.fault_attempt_bias = int(fault_attempt_bias)
         self.min_rank = SEVERITY_RANK[resolved.min_severity]
         self.tenants: dict[str, TenantDefenseState] = {}
@@ -391,7 +390,7 @@ class DefensePolicyEngine:
         crashed policy engine may only ever *withhold* reads.
         """
         key = stable_key(tenant.tenant_id) & 0xFFFF
-        for attempt in range(self.fault_retries + 1):
+        for attempt in range(POLICY_FAULT_RETRIES + 1):
             try:
                 spec = resilience.check(
                     "fleet.policy", key=key,

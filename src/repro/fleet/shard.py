@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.fleet.controlplane import FleetControlPlane, TenantSpec
 from repro.fleet.loadgen import LoadGenerator, ReplayReport
@@ -43,7 +42,9 @@ from repro.fleet.router import DEFAULT_REPLICAS, FleetRouter
 from repro.observability import runtime as observability
 from repro.observability.slo import merge_values
 from repro.resilience import runtime as resilience
-from repro.resilience.faults import KILL_EXIT_STATUS, InjectedFault
+from repro.resilience.faults import InjectedFault
+from repro.resilience.supervisor import (ShardFailure, ShardSpec,
+                                         ShardSupervisor, SupervisorPolicy)
 
 #: How a shard over its tenant cap handles the overflow.
 OVERFLOW_POLICIES = ("queue", "drop")
@@ -151,29 +152,14 @@ class FleetShard:
             slo_values=slo_values, elapsed_s=time.perf_counter() - start)
 
 
-def _shard_worker(conn, shard: FleetShard) -> None:
-    """Worker-process entry: run the shard, ship the report, die.
-
-    An injected crash (``raise`` mode reaching here, or a ``kill``
-    mode that ``os._exit``'s before we ever return) must look like a
-    crash to the supervisor, never like a result; infrastructure
-    errors are reported distinctly so they fail loudly instead of
-    being silently retried as crashes.
-    """
+def _run_shard(shard: FleetShard) -> "tuple[int, ShardReport | None]":
+    """Run one shard, on a worker or in-process; ``None`` marks an
+    injected crash (a ``raise``, or a ``kill`` demoted in-process), which
+    costs the shard's tenants a replay, never the run."""
     try:
-        report = shard.run()
-    except InjectedFault as exc:
-        conn.send(("crashed", str(exc)))
-        conn.close()
-        os._exit(KILL_EXIT_STATUS)
-    except BaseException as exc:  # noqa: BLE001 - forwarded verbatim
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            conn.close()
-        finally:
-            os._exit(1)
-    conn.send(("report", report))
-    conn.close()
+        return shard.shard_id, shard.run()
+    except InjectedFault:
+        return shard.shard_id, None
 
 
 @dataclass
@@ -256,6 +242,9 @@ class ShardedFleet:
         Armed inside every shard (workers are *sacrificial*, so
         ``kill`` faults really kill). The supervisor's own process
         never arms it — a chaos plan cannot take down the supervisor.
+    shard_timeout_s:
+        Seconds a process-mode shard may run before its worker is
+        stopped and the shard counts as crashed.
     max_generations:
         Recovery budget: how many reassign-and-replay waves may follow
         injected crashes before the run fails for real.
@@ -278,6 +267,12 @@ class ShardedFleet:
         if overflow_policy not in OVERFLOW_POLICIES:
             raise ValueError(f"overflow_policy must be one of "
                              f"{OVERFLOW_POLICIES}, got {overflow_policy!r}")
+        if shard_timeout_s <= 0:
+            raise ValueError(f"shard_timeout_s must be positive, got "
+                             f"{shard_timeout_s}")
+        if max_generations < 0:
+            raise ValueError(f"max_generations must be >= 0, got "
+                             f"{max_generations}")
         self.artifact = artifact
         self.seed = int(seed)
         self.router = FleetRouter.for_shard_count(shards, replicas=replicas)
@@ -299,8 +294,7 @@ class ShardedFleet:
 
     def _build_shard(self, shard_id: int, specs: list, windows: int,
                      slices_per_window: int, generation: int,
-                     sacrificial: bool, observe: bool,
-                     concurrency, ticks_per_round: int,
+                     observe: bool, concurrency, ticks_per_round: int,
                      slice_s: float,
                      attackers: "dict | None" = None) -> FleetShard:
         shard_attackers = None
@@ -316,58 +310,40 @@ class ShardedFleet:
             housekeeping_interval=self.housekeeping_interval,
             concurrency=concurrency, ticks_per_round=ticks_per_round,
             slice_s=slice_s, fault_plan=self.fault_plan,
-            generation=generation, sacrificial=sacrificial,
-            observe=observe, defense_policy=self.defense_policy,
+            generation=generation, observe=observe,
+            defense_policy=self.defense_policy,
             attackers=shard_attackers)
 
     def _run_batch(self, shards: "list[FleetShard]", mode: str
                    ) -> "dict[int, ShardReport | None]":
-        """Run one wave of shards; ``None`` marks an injected crash."""
-        if mode == "inline":
-            results: "dict[int, ShardReport | None]" = {}
-            for shard in shards:
-                try:
-                    results[shard.shard_id] = shard.run()
-                except InjectedFault:
-                    results[shard.shard_id] = None
-            return results
-        procs = []
-        for shard in shards:
-            parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_shard_worker, args=(child_conn, shard),
-                daemon=True, name=f"fleet-shard-{shard.shard_id}")
-            proc.start()
-            child_conn.close()
-            procs.append((shard, proc, parent_conn))
-        results = {}
-        # One deadline for the whole wave: the shards run concurrently,
-        # so k hung shards cost one timeout, not k of them.
-        deadline = time.monotonic() + self.shard_timeout_s
-        try:
-            for shard, proc, conn in procs:
-                message = None
-                try:
-                    if conn.poll(max(0.0, deadline - time.monotonic())):
-                        message = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                proc.join(max(0.0, deadline - time.monotonic()))
-                if message is not None and message[0] == "report":
-                    results[shard.shard_id] = message[1]
-                elif message is not None and message[0] == "error":
-                    raise ShardCrashed(
-                        f"shard {shard.shard_id} failed: {message[1]}")
-                else:
-                    results[shard.shard_id] = None
-        finally:
-            # Hung workers, and on a real error the rest of the wave,
-            # are still running: stop them and close every pipe.
-            for _, proc, conn in procs:
-                conn.close()
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join()
+        """Run one wave of shards; ``None`` marks a crashed shard.
+
+        Process mode gives each shard its own worker, a one-shard wave
+        included, so k hung shards cost one ``shard_timeout_s``.
+        """
+        results: "dict[int, ShardReport | None]" = {}
+
+        def crashed(failure: ShardFailure) -> tuple:
+            # A lost or hung worker is a crash, whose tenants replay; a
+            # real error fails the run once the wave has been stopped.
+            if failure.kind == "error":
+                raise ShardCrashed(f"shard {failure.shard_start} failed: "
+                                   f"{failure.detail}")
+            return failure.shard_start, None
+
+        with ShardSupervisor(
+                fn=_run_shard,
+                args=lambda spec, attempt, sacrificial: (
+                    replace(shards[spec.index], sacrificial=sacrificial),),
+                on_result=lambda result: results.update([result]),
+                empty_result=crashed,
+                policy=SupervisorPolicy(shard_timeout=self.shard_timeout_s,
+                                        max_retries=0),
+                workers=len(shards)) as supervisor:
+            supervisor.run([ShardSpec(index=index, start=shard.shard_id,
+                                      count=1)
+                            for index, shard in enumerate(shards)],
+                           processes=mode == "process")
         return results
 
     def run(self, specs: "list[TenantSpec]", windows: int = 4,
@@ -422,7 +398,6 @@ class ShardedFleet:
         generation = 0
         crash_log: list[dict] = []
         reports: list[ShardReport] = []
-        sacrificial = mode == "process"
         for wave in waves:
             pending = wave
             while pending:
@@ -435,8 +410,8 @@ class ShardedFleet:
                     self._build_shard(
                         shard_id, [spec_by_id[t] for t in tenant_ids],
                         windows, slices_per_window, generation,
-                        sacrificial, observe, concurrency,
-                        ticks_per_round, slice_s, attackers=attackers)
+                        observe, concurrency, ticks_per_round, slice_s,
+                        attackers=attackers)
                     for shard_id, tenant_ids in sorted(pending.items())]
                 results = self._run_batch(batch, mode)
                 crashed = sorted(sid for sid, rep in results.items()

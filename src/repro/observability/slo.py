@@ -78,10 +78,8 @@ class SloTracker:
 
     enabled = True
 
-    def __init__(self, capacity: int = DEFAULT_WINDOW,
-                 mirror_metrics: bool = True) -> None:
+    def __init__(self, capacity: int = DEFAULT_WINDOW) -> None:
         self.capacity = int(capacity)
-        self.mirror_metrics = mirror_metrics
         self._windows: dict[str, SloWindow] = {}
 
     def window(self, name: str) -> SloWindow:
@@ -92,11 +90,10 @@ class SloTracker:
 
     def observe(self, name: str, seconds: float) -> None:
         self.window(name).observe(seconds)
-        if self.mirror_metrics:
-            registry = telemetry.metrics()
-            if registry.enabled:
-                registry.histogram(f"slo.{name}.seconds",
-                                   "latency").observe(seconds)
+        registry = telemetry.metrics()
+        if registry.enabled:
+            registry.histogram(f"slo.{name}.seconds",
+                               "latency").observe(seconds)
 
     def names(self) -> list[str]:
         return sorted(self._windows)

@@ -7,9 +7,10 @@ Three pillars (DESIGN.md section 9):
   firing decision a pure function of (seed, point, key, attempt) so
   chaos runs are reproducible.
 - :mod:`repro.resilience.supervisor` — the shard supervisor campaign
-  shards and coverage-search chunks fan out through: per-shard
-  timeouts, bounded retries with seeded backoff, poison-shard
-  bisection, quarantine.
+  shards, coverage-search chunks and fleet shard waves fan out
+  through: one pool of worker processes that answer for their own
+  task, per-task timeouts, bounded retries with seeded backoff,
+  poison-shard bisection.
 - :mod:`repro.resilience.watchdog` — the obfuscator daemon's heartbeat
   watchdog (fail-closed degradation lives with the daemon itself).
 
@@ -29,10 +30,9 @@ from repro.resilience.faults import (
     stable_key,
 )
 from repro.resilience.supervisor import (
-    QuarantineRecord,
     ShardFailure,
+    ShardSpec,
     ShardSupervisor,
-    SupervisorError,
     SupervisorPolicy,
     SupervisorReport,
 )
@@ -47,10 +47,9 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "QuarantineRecord",
     "ShardFailure",
+    "ShardSpec",
     "ShardSupervisor",
-    "SupervisorError",
     "SupervisorPolicy",
     "SupervisorReport",
     "corrupt_text",

@@ -82,13 +82,6 @@ class InjectedFault(RuntimeError):
         super().__init__(detail)
         self.point = point
         self.key = key
-        self.note = note
-
-    def __reduce__(self):
-        # A raise on a pool worker travels back to the supervisor
-        # pickled: rebuild from the constructor's own arguments, not
-        # from ``args`` (which holds the formatted detail).
-        return type(self), (self.point, self.key, self.note)
 
 
 def _hash01(seed: int, label: str, key: int) -> float:

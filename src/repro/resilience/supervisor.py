@@ -1,40 +1,38 @@
-"""The shard supervisor: retries, timeouts, bisection, quarantine.
+"""The shard supervisor: retries, timeouts, bisection, one worker pool.
 
-Campaign shards and coverage-search chunks fan out through it, so
-worker failures are a *degraded state*, not an abort:
+Campaign shards, coverage-search chunks and fleet shard waves fan out
+through it, so worker failures are a *degraded state*, not an abort:
 
-- every shard failure (raised exception, lost worker process, blown
-  per-shard timeout) is retried up to ``max_retries`` times with
-  exponential backoff and seeded jitter — deterministic, so a chaos
-  run's retry schedule is reproducible;
-- a shard that exhausts its retries is *bisected*: both halves re-enter
+- every task failure (raised exception, lost worker process, blown
+  timeout) is retried up to ``max_retries`` times with exponential
+  backoff and seeded jitter — deterministic, so a chaos run's retry
+  schedule is reproducible;
+- a task that exhausts its retries is *bisected*: both halves re-enter
   the queue with a fresh retry budget, converging on the offending
-  gadget, which is finally **quarantined** — recorded, reported, and
-  replaced by the caller's empty result (or failing closed, if that
-  raises) — instead of poisoning the run;
-- a ``kill``-mode fault (or any real worker death) breaks the
-  ``ProcessPoolExecutor``; the supervisor rebuilds the pool and
-  re-queues everything that was in flight, up to ``max_pool_restarts``;
-- the pool lives until :meth:`ShardSupervisor.close`, across runs;
-- ``KeyboardInterrupt``/``SystemExit`` are never treated as shard
-  failures: the pool is shut down *without waiting* and the exception
-  re-raised immediately, so Ctrl-C still checkpoints promptly.
+  unit, whose final failure the caller's ``empty_result`` answers for
+  (the campaign quarantines the gadget; raising fails closed);
+- each forked worker runs one task at a time over its own pipe, so a
+  death or a timeout fails only that task and stops only that worker;
+  workers live until :meth:`ShardSupervisor.close`, across runs;
+- ``KeyboardInterrupt``/``SystemExit`` in this process are never task
+  failures: every worker is stopped and the exception re-raised at
+  once, so Ctrl-C still checkpoints promptly.
 
-Every attempt runs through :func:`run_task`. Tasks are pure in their
-arguments, so retries and bisection cannot change results — a
-supervised chaos run merges to the same result as a fault-free run,
-minus only quarantined gadgets.
+Tasks are pure in their arguments, so retries and bisection cannot
+change results — a supervised chaos run merges to the same result as a
+fault-free run, minus only what ``empty_result`` stood in for.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
+import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 from repro.resilience import runtime as resilience
@@ -43,24 +41,38 @@ from repro.telemetry import runtime as telemetry
 
 logger = logging.getLogger(__name__)
 
+#: Forked workers inherit what the parent built before the first
+#: dispatch (the search's evaluator), so they need no initializer.
+_FORK = multiprocessing.get_context("fork")
 
-class SupervisorError(RuntimeError):
-    """The supervisor itself gave up (e.g. the pool kept dying)."""
+
+@dataclass(frozen=True)
+class ShardSpec:
+    """One contiguous slice of a fan-out's units (gadgets, evaluations,
+    or a single fleet shard); bisection halves it."""
+
+    index: int
+    start: int
+    count: int
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.count
 
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Retry/timeout policy for supervised shard screening.
+    """Retry/timeout policy for supervised tasks.
 
     Parameters
     ----------
     shard_timeout:
-        Wall-clock seconds one shard attempt may run on a pool worker
-        before the supervisor abandons it (``None`` disables; only
-        enforceable in pool mode — an in-process shard cannot be
+        Wall-clock seconds one task attempt may run on a worker process
+        before the supervisor stops that worker (``None`` disables;
+        only enforceable on workers — an in-process task cannot be
         interrupted).
     max_retries:
-        Failed attempts re-queued per shard before bisection kicks in.
+        Failed attempts re-queued per task before bisection kicks in.
     backoff_base / backoff_cap:
         Exponential backoff: retry *n* waits
         ``min(cap, base * 2**(n-1))`` seconds before resubmission.
@@ -70,9 +82,6 @@ class SupervisorPolicy:
     seed:
         Jitter seed; campaigns reuse the fault plan's seed so a chaos
         run's whole schedule derives from one number.
-    max_pool_restarts:
-        Worker-pool rebuilds tolerated before the run is declared
-        unsupervisable.
     """
 
     shard_timeout: "float | None" = None
@@ -81,7 +90,6 @@ class SupervisorPolicy:
     backoff_cap: float = 2.0
     backoff_jitter: float = 0.25
     seed: int = 0
-    max_pool_restarts: int = 32
 
     def __post_init__(self) -> None:
         if self.shard_timeout is not None and self.shard_timeout <= 0:
@@ -95,9 +103,6 @@ class SupervisorPolicy:
         if self.backoff_jitter < 0:
             raise ValueError(f"backoff_jitter must be >= 0, "
                              f"got {self.backoff_jitter}")
-        if self.max_pool_restarts < 0:
-            raise ValueError(f"max_pool_restarts must be >= 0, "
-                             f"got {self.max_pool_restarts}")
 
     def backoff_seconds(self, shard_start: int, attempt: int) -> float:
         """Deterministic backoff before retry ``attempt`` of a shard."""
@@ -119,15 +124,6 @@ class ShardFailure:
     detail: str
 
 
-@dataclass(frozen=True)
-class QuarantineRecord:
-    """A single gadget whose screening could not be completed."""
-
-    gadget_index: int
-    attempts: int
-    detail: str
-
-
 @dataclass
 class _Pending:
     """A shard waiting to (re)run."""
@@ -139,10 +135,10 @@ class _Pending:
 
 @dataclass
 class SupervisorReport:
-    """Everything the supervisor observed while screening."""
+    """Everything the supervisor observed during one run
+    (``pool_restarts``: workers replaced after a death or timeout)."""
 
     failures: list[ShardFailure] = field(default_factory=list)
-    quarantined: list[QuarantineRecord] = field(default_factory=list)
     retries: int = 0
     bisections: int = 0
     pool_restarts: int = 0
@@ -182,32 +178,64 @@ def run_task(fn: Callable, args: tuple, point: str, key: int, label: str,
         return fn(*args)
 
 
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _serve(conn, parent_conn, fn: Callable) -> None:
+    """A worker's loop: run each task it is sent until told to stop,
+    replying ``("ok", result)`` or ``("error", "Type: message")``."""
+    parent_conn.close()  # so that the parent's death reads as EOF
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    with suppress(EOFError):
+        for args in iter(conn.recv, None):
+            try:
+                reply = ("ok", fn(*args))
+            except Exception as exc:
+                reply = ("error", _describe(exc))
+            try:
+                conn.send(reply)
+            except Exception as exc:  # a result that will not pickle
+                conn.send(("error", _describe(exc)))
+
+
+@dataclass
+class _Worker:
+    """A forked worker, the parent's end of its pipe, and its task."""
+
+    process: Any
+    conn: Any
+    task: "_Pending | None" = None
+    deadline: float = math.inf
+
+
 class ShardSupervisor:
     """Supervised execution of shard-shaped tasks.
 
     Parameters
     ----------
     fn:
-        The picklable top-level task function; the campaign and the
-        coverage search both pass :func:`run_task`.
+        The top-level task function, inherited by forked workers; the
+        campaign and the coverage search pass :func:`run_task`.
     args:
         ``args(shard, attempt, sacrificial) -> tuple`` building the
         picklable argument tuple for one attempt. ``sacrificial`` is
-        True only for pool workers (licenses ``kill``-mode faults).
+        True only on worker processes (licenses ``kill``-mode faults).
     on_result:
         Callback receiving each completed shard result exactly once
         (checkpointing + bookkeeping in the campaign).
     empty_result:
-        ``empty_result(shard) -> result`` standing in for a quarantined
-        single-gadget shard, keeping the merge total (or raising, to
-        fail closed).
+        ``empty_result(failure) -> result`` receiving the final
+        :class:`ShardFailure` of a single-unit shard that used up its
+        retries; its return value goes to ``on_result`` in the shard's
+        place, keeping the merge total (or it raises, to fail closed).
     policy / workers:
         Retry policy and pool width.
     """
 
     def __init__(self, fn: Callable, args: Callable[[Any, int, bool], tuple],
                  on_result: Callable[[Any], None],
-                 empty_result: Callable[[Any], Any],
+                 empty_result: Callable[[ShardFailure], Any],
                  policy: "SupervisorPolicy | None" = None,
                  workers: int = 1) -> None:
         if workers < 1:
@@ -219,27 +247,35 @@ class ShardSupervisor:
         self.policy = policy or SupervisorPolicy()
         self.workers = workers
         self.report = SupervisorReport()
-        self._pool: "ProcessPoolExecutor | None" = None
+        self._workers: list[_Worker] = []
 
     # -- public entry points -------------------------------------------
 
-    def run(self, shards: list) -> SupervisorReport:
-        """Run every shard to completion (or quarantine).
-
-        Returns this call's report; the pool stays up until :meth:`close`.
-        """
+    def run(self, shards: list, processes: bool = False) -> SupervisorReport:
+        """Run every shard to completion (or to its ``empty_result``), on
+        the worker processes with ``processes``, else one after another
+        in this process; returns this call's report."""
         self.report = SupervisorReport()
-        if self.workers > 1 and len(shards) > 1:
-            self._run_pool(list(shards))
+        queue = [_Pending(shard, 0) for shard in shards]
+        if processes:
+            self._run_pool(queue)
         else:
-            self._run_inline(list(shards))
+            self._run_inline(queue)
         return self.report
 
     def close(self) -> None:
-        """Shut the worker pool down (a later run builds a new one)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Stop every worker (idle ones are told to, busy ones are
+        terminated at once) and join them all."""
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            if worker.task is not None:
+                worker.process.terminate()
+            else:
+                with suppress(OSError):  # already dead
+                    worker.conn.send(None)
+        for worker in workers:
+            worker.process.join()
+            worker.conn.close()
 
     def __enter__(self) -> "ShardSupervisor":
         return self
@@ -249,8 +285,7 @@ class ShardSupervisor:
 
     # -- in-process mode -----------------------------------------------
 
-    def _run_inline(self, shards: list) -> None:
-        queue = [_Pending(shard, 0) for shard in shards]
+    def _run_inline(self, queue: "list[_Pending]") -> None:
         while queue:
             item = queue.pop(0)
             delay = item.not_before - time.monotonic()
@@ -261,105 +296,103 @@ class ShardSupervisor:
             except Exception as exc:
                 # KeyboardInterrupt/SystemExit are BaseException: they
                 # propagate and abort promptly instead of being retried.
-                self._failed(item, "error", repr(exc), queue)
+                self._failed(item, "error", _describe(exc), queue)
             else:
                 self.on_result(result)
 
-    # -- pool mode -----------------------------------------------------
+    # -- worker processes ----------------------------------------------
 
-    def _abandon_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+    def _free_worker(self) -> "_Worker | None":
+        """An idle worker, a newly forked one, or ``None`` at capacity."""
+        for worker in self._workers:
+            if worker.task is None:
+                return worker
+        if len(self._workers) >= self.workers:
+            return None
+        conn, child_conn = _FORK.Pipe()
+        process = _FORK.Process(target=_serve,
+                                args=(child_conn, conn, self.fn),
+                                daemon=True)
+        process.start()
+        child_conn.close()
+        worker = _Worker(process, conn)
+        self._workers.append(worker)
+        return worker
 
-    def _run_pool(self, shards: list) -> None:
-        queue = [_Pending(shard, 0) for shard in shards]
-        inflight: "dict[Any, tuple[_Pending, float]]" = {}
+    def _run_pool(self, queue: "list[_Pending]") -> None:
+        timeout = self.policy.shard_timeout
         try:
-            while queue or inflight:
+            while True:
                 now = time.monotonic()
-                ready = [p for p in queue if p.not_before <= now]
-                queue = [p for p in queue if p.not_before > now]
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
-                for item in sorted(ready, key=lambda p: (p.shard.start,
-                                                         p.attempt)):
-                    future = self._pool.submit(
-                        self.fn, *self.args(item.shard, item.attempt, True))
-                    deadline = (now + self.policy.shard_timeout
-                                if self.policy.shard_timeout else math.inf)
-                    inflight[future] = (item, deadline)
-                if not inflight:
-                    time.sleep(max(0.0, min(p.not_before for p in queue)
-                                   - time.monotonic()))
-                    continue
-
-                horizon = min(min(d for _, d in inflight.values()),
-                              min((p.not_before for p in queue),
-                                  default=math.inf))
-                timeout = (None if horizon == math.inf
-                           else max(0.0, horizon - time.monotonic()))
-                done, _ = wait(set(inflight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-
-                broken = False
-                for future in done:
-                    item, _ = inflight.pop(future)
+                ready = sorted((p for p in queue if p.not_before <= now),
+                               key=lambda p: (p.shard.start, p.attempt))
+                for item in ready:
+                    worker = self._free_worker()
+                    if worker is None:
+                        break
+                    args = self.args(item.shard, item.attempt, True)
+                    queue.remove(item)
+                    worker.task = item
+                    worker.deadline = now + timeout if timeout else math.inf
+                    with suppress(OSError):  # a dead worker reads as lost
+                        worker.conn.send(args)
+                busy = [w for w in self._workers if w.task is not None]
+                if not busy and not queue:
+                    return
+                # A backoff end wakes the loop only while a worker is free.
+                ends = [w.deadline for w in busy]
+                if len(busy) < self.workers:
+                    ends += [p.not_before for p in queue]
+                horizon = min(ends)
+                for conn in wait([w.conn for w in busy],
+                                 None if horizon == math.inf
+                                 else max(0.0, horizon - time.monotonic())):
+                    worker = next(w for w in busy if w.conn is conn)
                     try:
-                        result = future.result()
-                    except BrokenExecutor as exc:
-                        broken = True
-                        self._failed(item, "worker-lost", repr(exc), queue)
-                    except Exception as exc:
-                        self._failed(item, "error", repr(exc), queue)
+                        status, payload = conn.recv()
+                    except (EOFError, OSError):
+                        self._stop(worker, "worker-lost", queue)
+                        continue
+                    item, worker.task = worker.task, None
+                    if status == "ok":
+                        self.on_result(payload)
                     else:
-                        self.on_result(result)
-
+                        self._failed(item, "error", payload, queue)
                 now = time.monotonic()
-                expired = [f for f, (_, d) in inflight.items() if d <= now]
-                if broken or expired:
-                    # The pool is unusable (dead worker) or holds a task
-                    # we cannot interrupt (hung worker): abandon it and
-                    # requeue everything that was in flight.
-                    for future, (item, deadline) in list(inflight.items()):
-                        kind = ("timeout" if deadline <= now
-                                else "worker-lost")
-                        self._failed(item, kind,
-                                     f"{kind} after pool abandon", queue)
-                    inflight.clear()
-                    self._abandon_pool()
-                    self.report.pool_restarts += 1
-                    registry = telemetry.metrics()
-                    if registry.enabled:
-                        registry.counter("retry.pool_restarts").inc()
-                    if self.report.pool_restarts > \
-                            self.policy.max_pool_restarts:
-                        raise SupervisorError(
-                            f"worker pool died "
-                            f"{self.report.pool_restarts} times "
-                            f"(max_pool_restarts="
-                            f"{self.policy.max_pool_restarts}); "
-                            f"giving up")
-                    logger.warning(
-                        "supervisor: worker pool abandoned "
-                        "(restart %d/%d), %d shard(s) requeued",
-                        self.report.pool_restarts,
-                        self.policy.max_pool_restarts, len(queue))
-        except BaseException:
-            # Ctrl-C (and any other abort) must not wait for running
-            # shards: drop the pool and surface the exception so the
-            # campaign's already-checkpointed shards are preserved.
-            self._abandon_pool()
+                for worker in busy:
+                    if worker.task is not None and worker.deadline <= now:
+                        self._stop(worker, "timeout", queue)
+        except BaseException:  # Ctrl-C, or a callback failing closed
+            self.close()
             raise
+
+    def _stop(self, worker: _Worker, kind: str,
+              queue: "list[_Pending]") -> None:
+        """Stop a worker whose task died with it or overran, and fail
+        that task; nothing else in flight is touched."""
+        item, worker.task = worker.task, None
+        self._workers.remove(worker)
+        worker.process.terminate()
+        worker.process.join()
+        worker.conn.close()
+        self.report.pool_restarts += 1
+        registry = telemetry.metrics()
+        if registry.enabled:
+            registry.counter("retry.pool_restarts").inc()
+        detail = (f"worker exited with status {worker.process.exitcode}"
+                  if kind == "worker-lost" else
+                  f"no result within {self.policy.shard_timeout}s")
+        self._failed(item, kind, detail, queue)
 
     # -- failure handling ----------------------------------------------
 
     def _failed(self, item: _Pending, kind: str, detail: str,
                 queue: "list[_Pending]") -> None:
         shard, attempt = item.shard, item.attempt
-        self.report.failures.append(ShardFailure(
-            shard_start=shard.start, shard_count=shard.count,
-            attempt=attempt, kind=kind, detail=detail))
+        failure = ShardFailure(shard_start=shard.start,
+                               shard_count=shard.count, attempt=attempt,
+                               kind=kind, detail=detail)
+        self.report.failures.append(failure)
         registry = telemetry.metrics()
         if registry.enabled:
             registry.counter("retry.shard_failures").inc()
@@ -378,10 +411,9 @@ class ShardSupervisor:
                                   time.monotonic() + delay))
         elif shard.count > 1:
             half = shard.count // 2
-            shard_type = type(shard)
-            left = shard_type(index=-1, start=shard.start, count=half)
-            right = shard_type(index=-1, start=shard.start + half,
-                               count=shard.count - half)
+            left = ShardSpec(index=-1, start=shard.start, count=half)
+            right = ShardSpec(index=-1, start=shard.start + half,
+                              count=shard.count - half)
             self.report.bisections += 1
             if registry.enabled:
                 registry.counter("retry.bisections").inc()
@@ -393,13 +425,4 @@ class ShardSupervisor:
             queue.append(_Pending(left, 0))
             queue.append(_Pending(right, 0))
         else:
-            empty = self.empty_result(shard)  # may raise: fail closed
-            self.report.quarantined.append(QuarantineRecord(
-                gadget_index=shard.start, attempts=attempt + 1,
-                detail=detail))
-            if registry.enabled:
-                registry.counter("fault.quarantined").inc()
-            logger.error(
-                "gadget %d quarantined after %d failed attempts (%s); "
-                "continuing without it", shard.start, attempt + 1, detail)
-            self.on_result(empty)
+            self.on_result(self.empty_result(failure))  # may raise

@@ -43,13 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.fuzzer.campaign import (ShardConfig, ShardSpec,
-                                        screening_kernel)
+from repro.core.fuzzer.campaign import ShardConfig, screening_kernel
 from repro.core.fuzzer.grammar import Gadget
 from repro.cpu import batch
 from repro.fleet.statefile import read_json, write_json_atomic
 from repro.resilience import runtime as resilience
-from repro.resilience.supervisor import (ShardSupervisor, SupervisorPolicy,
+from repro.resilience.supervisor import (ShardFailure, ShardSpec,
+                                         ShardSupervisor, SupervisorPolicy,
                                          run_task)
 from repro.search.corpus import (Corpus, CorpusEntry, build_name_index,
                                  gadget_digest)
@@ -504,10 +504,11 @@ class CoverageSearch:
                 self.fault_plan,
                 str(trace_dir) if trace_dir is not None else None)
 
-    def _chunk_lost(self, chunk: ShardSpec):
+    def _chunk_lost(self, failure: ShardFailure):
         # Never quarantine: a dropped evaluation changes the trajectory.
-        raise SearchError(f"round {self._round}: evaluation {chunk.start} "
-                          f"failed every retry; not checkpointed")
+        raise SearchError(f"round {self._round}: evaluation "
+                          f"{failure.shard_start} failed every retry; "
+                          f"not checkpointed")
 
     def _chunk_done(self, result) -> None:
         """Collect a chunk's outcomes and merge the memo entries it
@@ -523,10 +524,11 @@ class CoverageSearch:
         # this round are still to be submitted or retried.
         self._round_plan = (tasks, cold, dict(self._memo))
         first = tasks[0].eval_index
-        supervisor.run([
+        chunks = [
             ShardSpec(index=index, start=first + start, count=stop - start)
             for index, (start, stop) in enumerate(
-                chunk_bounds(len(tasks), self.config.chunk_size))])
+                chunk_bounds(len(tasks), self.config.chunk_size))]
+        supervisor.run(chunks, processes=self.workers > 1 and len(chunks) > 1)
         evaluated = sorted(self._outcomes, key=lambda o: o.eval_index)
         self._outcomes.clear()
         return evaluated

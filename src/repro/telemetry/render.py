@@ -66,8 +66,8 @@ def render_run(run: RunTelemetry) -> str:
                 f"{retries:,.0f} shard retries "
                 f"({faults.get('retry.shard_failures', 0):,.0f} failures, "
                 f"{faults.get('retry.bisections', 0):,.0f} bisections, "
-                f"{faults.get('retry.pool_restarts', 0):,.0f} pool "
-                f"restarts)")
+                f"{faults.get('retry.pool_restarts', 0):,.0f} workers "
+                f"replaced)")
         quarantined = faults.get("fault.quarantined", 0)
         if quarantined:
             lines.append(f"{quarantined:,.0f} gadgets quarantined")

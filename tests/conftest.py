@@ -1,5 +1,6 @@
 """Shared fixtures: cached catalogs and small deterministic objects."""
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -37,6 +38,22 @@ def _session_telemetry():
         # not have).
         runtime.flush()
         telemetry.disable()
+
+
+@pytest.fixture(autouse=True)
+def _no_leftover_workers():
+    """Fail any test that leaves a ``multiprocessing`` child alive.
+
+    A worker must not outlive the supervisor or fleet that forked it.
+    Leftovers are stopped before the failure is reported, so the next
+    test starts clean.
+    """
+    yield
+    leftover = multiprocessing.active_children()
+    for child in leftover:
+        child.terminate()
+        child.join()
+    assert not leftover, f"test left worker processes alive: {leftover}"
 
 
 @pytest.fixture(scope="session")

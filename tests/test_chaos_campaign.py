@@ -8,6 +8,7 @@ schedules over the same assertions; every firing decision is a pure
 function of the plan, so each seeded run is exactly reproducible.
 """
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -234,6 +235,8 @@ class TestTimeouts:
         assert stats.timeouts >= 1
         assert stats.pool_restarts >= 1
         assert stats.quarantined == []
+        # The hung worker was stopped, not left behind.
+        assert multiprocessing.active_children() == []
 
 
 class TestQuarantine:

@@ -300,6 +300,25 @@ class TestShardedFleet:
         assert [c["crashed_shards"] for c in report.crashes] == [[0, 1, 2]]
         assert elapsed < 2.5
 
+    def test_hung_single_shard_stopped_within_one_timeout(
+            self, artifact, specs, reference):
+        # A one-shard wave runs on a worker too: in-process, a hung
+        # shard could not be stopped at all.
+        plan = FaultPlan.parse(json.dumps({
+            "seed": 3,
+            "faults": [{"point": "fleet.shard", "mode": "hang",
+                        "times": 1, "hang_seconds": 30.0}]}))
+        fleet = ShardedFleet(artifact, shards=1, seed=SEED,
+                             fault_plan=plan, shard_timeout_s=1.0)
+        started = time.perf_counter()
+        report = fleet.run(specs, windows=WINDOWS,
+                           slices_per_window=SLICES, mode="process")
+        elapsed = time.perf_counter() - started
+        assert report.fingerprint() == reference
+        assert [c["crashed_shards"] for c in report.crashes] == [[0]]
+        assert [r.generation for r in report.shard_reports] == [1]
+        assert elapsed < 2.5
+
     def test_shard_error_stops_the_rest_of_its_wave(self, artifact,
                                                     specs):
         # Shard 0 fails for real (an unknown workload), while shard 1
@@ -370,6 +389,12 @@ class TestShardedFleet:
             ShardedFleet(artifact, overflow_policy="explode")
         with pytest.raises(ValueError, match="max_tenants_per_shard"):
             ShardedFleet(artifact, max_tenants_per_shard=0)
+        # A zero timeout would read every healthy shard as crashed.
+        for timeout in (0.0, -1.0):
+            with pytest.raises(ValueError, match="shard_timeout_s"):
+                ShardedFleet(artifact, shard_timeout_s=timeout)
+        with pytest.raises(ValueError, match="max_generations"):
+            ShardedFleet(artifact, max_generations=-1)
         with pytest.raises(ValueError, match="mode"):
             ShardedFleet(artifact).run(specs, mode="thread")
         with pytest.raises(ValueError, match="duplicate"):

@@ -50,7 +50,7 @@ from repro.fleet import (
     resolve_profile,
 )
 from repro.fleet.loadgen import AttackerProfile
-from repro.fleet.policy import profile_with
+from repro.fleet.policy import POLICY_FAULT_RETRIES, profile_with
 from repro.observability import runtime as observability
 from repro.observability.detectors import Alert
 from repro.resilience import runtime as resilience
@@ -496,7 +496,7 @@ class TestFailClosed:
         assert tenant.state == "QUARANTINED"
         assert tenant.fault_forced
         assert tenant.transitions[-1]["reason"] == "policy-fault"
-        assert engine.policy_faults == engine.fault_retries + 1
+        assert engine.policy_faults == POLICY_FAULT_RETRIES + 1
         assert any("failed closed" in reason
                    for reason in engine.health_reasons())
 

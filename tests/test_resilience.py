@@ -6,8 +6,8 @@ emits an un-noised value no matter what the fault plan does to it.
 """
 
 import json
+import multiprocessing
 import os
-import pickle
 import time
 
 import numpy as np
@@ -32,6 +32,7 @@ from repro.core.obfuscator.dp import DstarMechanism
 from repro.cpu.signals import NUM_SIGNALS, Signal
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import (
+    KILL_EXIT_STATUS,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -40,6 +41,7 @@ from repro.resilience.faults import (
     stable_key,
 )
 from repro.resilience.supervisor import (
+    ShardFailure,
     ShardSupervisor,
     SupervisorPolicy,
 )
@@ -198,14 +200,6 @@ class TestFaultInjector:
         with pytest.raises(InjectedFault, match="demoted"):
             injector.check("campaign.shard", key=0)
 
-    def test_injected_fault_survives_pickling(self):
-        # A raise on a pool worker reaches the supervisor pickled.
-        fault = pickle.loads(pickle.dumps(
-            InjectedFault("campaign.shard", 40, "note")))
-        assert (fault.point, fault.key) == ("campaign.shard", 40)
-        assert str(fault) == ("injected fault at campaign.shard (key=40): "
-                              "note")
-
     def test_implicit_attempt_burns_out(self):
         injector = FaultInjector(plan(
             FaultSpec(point="checkpoint.write", mode="raise", times=1)))
@@ -273,7 +267,7 @@ class TestShardSupervisorInline:
         return ShardSupervisor(
             fn=fn, args=lambda shard, attempt, sacrificial: (shard, attempt),
             on_result=results.append,
-            empty_result=lambda shard: ("empty", shard.start),
+            empty_result=lambda failure: ("empty", failure.shard_start),
             policy=policy or fast_policy()), results
 
     def test_flaky_shard_retried_to_success(self):
@@ -287,7 +281,6 @@ class TestShardSupervisorInline:
         assert results == [("ok", 0)]
         assert report.retries == 1
         assert [f.kind for f in report.failures] == ["error"]
-        assert not report.quarantined
 
     def test_persistent_failure_bisects_to_quarantine(self):
         poison = 13
@@ -300,7 +293,7 @@ class TestShardSupervisorInline:
         supervisor, results = self.make(
             poisoned, policy=fast_policy(max_retries=1))
         report = supervisor.run([ShardSpec(index=0, start=8, count=8)])
-        assert [q.gadget_index for q in report.quarantined] == [poison]
+        assert [r for r in results if r[0] == "empty"] == [("empty", poison)]
         assert report.bisections >= 3  # 8 -> 4 -> 2 -> 1
         # Every healthy gadget was screened; only the poison is empty.
         screened = sorted(r[1] for r in results if r[0] == "ok")
@@ -317,8 +310,10 @@ class TestShardSupervisorInline:
             broken, policy=fast_policy(max_retries=0))
         report = supervisor.run([ShardSpec(index=0, start=5, count=1)])
         assert results == [("empty", 5)]
-        assert [q.gadget_index for q in report.quarantined] == [5]
-        assert report.quarantined[0].attempts == 1
+        # The final failure, as empty_result received it.
+        assert report.failures == [ShardFailure(
+            shard_start=5, shard_count=1, attempt=0, kind="error",
+            detail="RuntimeError: always")]
 
     def test_each_run_reports_only_its_own_shards(self):
         def flaky(shard, attempt):
@@ -338,22 +333,98 @@ def _shard_start(shard, attempt):
     return shard.start
 
 
+def _kill_shard_4_once(shard, attempt):
+    if shard.start == 4 and attempt == 0:
+        os._exit(KILL_EXIT_STATUS)
+    time.sleep(0.2)  # the other tasks are still in flight at the kill
+    return shard.start, attempt
+
+
+def _raise_on_shard_0_else_hang(shard, attempt):
+    if shard.start == 0:
+        raise RuntimeError("poison")
+    time.sleep(30.0)
+
+
+def _return_on_shard_0_else_hang(shard, attempt):
+    if shard.start == 0:
+        return shard.start
+    time.sleep(30.0)
+
+
+def _unpicklable(shard, attempt):
+    return lambda: shard.start
+
+
+def _interrupt(result):
+    raise KeyboardInterrupt
+
+
+def _fail_closed(failure):
+    raise RuntimeError("fail closed")
+
+
+def pooled(fn, results, **kwargs):
+    """A 2-worker supervisor whose tasks get ``(shard, attempt)``."""
+    kwargs.setdefault("on_result", results.append)
+    kwargs.setdefault("empty_result", None)
+    return ShardSupervisor(
+        fn=fn, args=lambda shard, attempt, sacrificial: (shard, attempt),
+        policy=fast_policy(), workers=2, **kwargs)
+
+
 class TestShardSupervisorPool:
     def test_pool_outlives_each_run_until_closed(self):
         results = []
         shards = [ShardSpec(index=i, start=4 * i, count=4) for i in range(3)]
-        with ShardSupervisor(
-                fn=_shard_start,
-                args=lambda shard, attempt, sacrificial: (shard, attempt),
-                on_result=results.append, empty_result=None,
-                policy=fast_policy(), workers=2) as supervisor:
-            supervisor.run(shards)
-            pool = supervisor._pool
-            assert pool is not None
-            supervisor.run(shards)
-            assert supervisor._pool is pool
-        assert supervisor._pool is None
+        with pooled(_shard_start, results) as supervisor:
+            supervisor.run(shards, processes=True)
+            pids = {w.process.pid for w in supervisor._workers}
+            assert len(pids) == 2
+            supervisor.run(shards, processes=True)
+            assert {w.process.pid for w in supervisor._workers} == pids
+        assert supervisor._workers == []
+        assert multiprocessing.active_children() == []
         assert sorted(results) == sorted(2 * [0, 4, 8])
+
+    def test_a_death_fails_only_its_own_task(self):
+        results = []
+        shards = [ShardSpec(index=i, start=4 * i, count=4) for i in range(4)]
+        with pooled(_kill_shard_4_once, results) as supervisor:
+            report = supervisor.run(shards, processes=True)
+        assert report.failures == [ShardFailure(
+            shard_start=4, shard_count=4, attempt=0, kind="worker-lost",
+            detail=f"worker exited with status {KILL_EXIT_STATUS}")]
+        assert sorted(results) == [(0, 0), (4, 1), (8, 0), (12, 0)]
+        assert report.pool_restarts == 1
+
+    def test_an_unpicklable_result_is_its_tasks_error(self):
+        results = []
+        shards = [ShardSpec(index=i, start=i, count=1) for i in range(2)]
+        with pooled(_unpicklable, results,
+                    empty_result=lambda failure: failure.kind) as supervisor:
+            report = supervisor.run(shards, processes=True)
+        assert results == ["error", "error"]
+        assert {f.kind for f in report.failures} == {"error"}
+        assert report.pool_restarts == 0  # no worker was lost
+
+    @pytest.mark.parametrize("fn, hooks, raised", [
+        (_raise_on_shard_0_else_hang, {"empty_result": _fail_closed},
+         RuntimeError),
+        (_return_on_shard_0_else_hang, {"on_result": _interrupt},
+         KeyboardInterrupt),
+    ], ids=["empty_result", "on_result"])
+    def test_an_exception_out_of_a_run_stops_every_worker(
+            self, fn, hooks, raised):
+        # Shard 4 is still running (for 30 s) when shard 0's callback
+        # raises: the busy worker is terminated, not waited for.
+        supervisor = pooled(fn, [], **hooks)
+        shards = [ShardSpec(index=i, start=4 * i, count=1) for i in range(2)]
+        started = time.perf_counter()
+        with pytest.raises(raised):
+            supervisor.run(shards, processes=True)
+        assert time.perf_counter() - started < 10.0
+        assert multiprocessing.active_children() == []
 
 
 class TestCheckpointDurability:
