@@ -581,7 +581,6 @@ def _fleet_run(args: argparse.Namespace):
     from contextlib import nullcontext
 
     from repro.fleet import FleetControlPlane, LoadGenerator
-    from repro.fleet import runtime as fleet_runtime
     from repro.observability import runtime as observability
     from repro.resilience import runtime as resilience
     artifact = _fleet_artifact(args)
@@ -604,7 +603,7 @@ def _fleet_run(args: argparse.Namespace):
         if policy is not None and not observability.enabled() \
         else nullcontext()
     with obs_scope:
-        with fleet_runtime.session(plane), resilience.session(fault_plan):
+        with resilience.session(fault_plan):
             report = generator.run()
         status = plane.status()
     return status, report
@@ -615,8 +614,8 @@ def _fleet_run_sharded(args: argparse.Namespace):
     from repro.fleet import ShardCrashed, ShardedFleet
     if getattr(args, "obs_dir", ""):
         raise SystemExit("--obs-dir needs the single-process fleet; "
-                         "omit --shards (plain --obs merges per-shard "
-                         "SLO windows into the status file)")
+                         "omit --shards (plain --obs sums per-shard "
+                         "SLO histograms into the status file)")
     artifact = _fleet_artifact(args)
     fleet = ShardedFleet(
         artifact, shards=args.shards, seed=args.seed,

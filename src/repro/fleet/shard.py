@@ -21,9 +21,9 @@ bit-for-bit:
    equal an uncrashed run's exactly.
 
 Worker results return as small pickled :class:`ShardReport`\\ s
-(digests, budgets, SLO window values); the heavy noised arrays never
-cross the process boundary, and neither do the tenants' noise plans:
-they live in the worker's heap and die with it.
+(digests, budgets, SLO latency histograms); the heavy noised arrays
+never cross the process boundary, and neither do the tenants' noise
+plans: they live in the worker's heap and die with it.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from repro.fleet.loadgen import LoadGenerator, ReplayReport
 from repro.fleet.provisioner import DEFAULT_CAPACITY, DEFAULT_WATERMARK
 from repro.fleet.router import DEFAULT_REPLICAS, FleetRouter
 from repro.observability import runtime as observability
-from repro.observability.slo import merge_values
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import InjectedFault
 from repro.resilience.supervisor import (ShardFailure, ShardSpec,
                                          ShardSupervisor, SupervisorPolicy)
+from repro.telemetry.metrics import histogram_readout, merge_snapshots
 
 #: How a shard over its tenant cap handles the overflow.
 OVERFLOW_POLICIES = ("queue", "drop")
@@ -64,7 +64,7 @@ class ShardReport:
     pid: int
     replay: ReplayReport
     status: dict
-    slo_values: "dict[str, list[float]]" = field(default_factory=dict)
+    slo_histograms: "dict[str, dict]" = field(default_factory=dict)
     elapsed_s: float = 0.0
 
     @property
@@ -141,15 +141,16 @@ class FleetShard:
                         attackers=self.attackers,
                         window_hook=self._crash_check)
                     replay = generator.run()
-                    slo_values = (obs_runtime.slo.export_values()
-                                  if obs_runtime is not None else {})
+                    slo_histograms = (obs_runtime.slo.histograms()
+                                      if obs_runtime is not None else {})
                 status = plane.status()
             finally:
                 plane.close()
         return ShardReport(
             shard_id=self.shard_id, generation=self.generation,
             pid=os.getpid(), replay=replay, status=status,
-            slo_values=slo_values, elapsed_s=time.perf_counter() - start)
+            slo_histograms=slo_histograms,
+            elapsed_s=time.perf_counter() - start)
 
 
 def _run_shard(shard: FleetShard) -> "tuple[int, ShardReport | None]":
@@ -160,6 +161,20 @@ def _run_shard(shard: FleetShard) -> "tuple[int, ShardReport | None]":
         return shard.shard_id, shard.run()
     except InjectedFault:
         return shard.shard_id, None
+
+
+def merge_slo(exports: "list[dict[str, dict]]") -> dict:
+    """Fleet-wide SLO readouts from per-shard
+    :meth:`~repro.observability.slo.SloTracker.histograms` exports.
+
+    Buckets sum across shards by :func:`merge_snapshots`' rule, which
+    raises on mismatched bounds, and each operation reads out once, so
+    p50/p95/p99 are quantiles of the union — not a mean of per-shard
+    quantiles.
+    """
+    merged = merge_snapshots({"histograms": export} for export in exports)
+    return {name: histogram_readout(payload)
+            for name, payload in merged["histograms"].items()}
 
 
 @dataclass
@@ -468,7 +483,7 @@ class ShardedFleet:
         budgets = dict(sorted(budgets.items()))
         budget_digest = hashlib.sha256(
             json.dumps(budgets, sort_keys=True).encode("utf-8")).hexdigest()
-        slo = merge_values([r.slo_values for r in reports])
+        slo = merge_slo([r.slo_histograms for r in reports])
         return ShardedReplayReport(
             shards=self.shard_count, mode=mode, windows=windows,
             slices_per_window=slices_per_window,

@@ -2,9 +2,9 @@
 
 Layered on the telemetry runtime, three live capabilities:
 
-- :mod:`repro.observability.slo` — sliding-window latency tracking
-  with deterministic p50/p95/p99 readouts for the fleet's hot
-  operations (``serve_window``, ``tick``, batch evals);
+- :mod:`repro.observability.slo` — latency-histogram tracking with
+  whole-run p50/p95/p99 readouts for the fleet's hot operations
+  (``serve_window``, ``tick``, batch evals);
 - :mod:`repro.observability.signals` + ``detectors`` — per-tenant
   host-read feature extraction and a pluggable detector registry that
   turns SEV-Step single-step cadences, polling bursts, and register
@@ -57,7 +57,6 @@ from repro.observability.slo import (
     SLO_QUANTILES,
     NoopSloTracker,
     SloTracker,
-    SloWindow,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "SignalExtractor",
     "SingleStepCadenceDetector",
     "SloTracker",
-    "SloWindow",
     "SnapshotExporter",
     "TenantReadStream",
     "active",

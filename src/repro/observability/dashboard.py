@@ -7,7 +7,7 @@ tests share one renderer and a frame is reproducible from its inputs.
 from __future__ import annotations
 
 from repro.analysis.ascii_chart import bar_chart
-from repro.telemetry.metrics import histogram_quantile
+from repro.telemetry.metrics import slo_readouts
 
 #: Counter namespaces the ``top`` panel hides (rendered elsewhere).
 _TOP_HIDDEN_PREFIXES = ("privacy.", "obs.alert")
@@ -122,21 +122,12 @@ def render_top(snapshot: dict, alerts: "list[dict] | None" = None,
     """A ``repro top`` frame from a metrics snapshot.
 
     SLO quantiles come from the merged ``slo.*.seconds`` histograms
-    (interpolated, so the panel works across process boundaries), the
-    busiest-counter chart from everything not already shown elsewhere.
+    (the readout ``fleet status`` shows, so the panel works across
+    process boundaries), the busiest-counter chart from everything not
+    already shown elsewhere.
     """
     lines = ["# repro top"]
-    histograms = snapshot.get("histograms", {})
-    slo = {
-        name[len("slo."):-len(".seconds")]: {
-            "p50": histogram_quantile(payload, 0.5),
-            "p95": histogram_quantile(payload, 0.95),
-            "p99": histogram_quantile(payload, 0.99),
-            "count": int(payload["count"]),
-        }
-        for name, payload in histograms.items()
-        if name.startswith("slo.") and name.endswith(".seconds")
-        and payload["count"]}
+    slo = slo_readouts(snapshot.get("histograms", {}))
     if slo:
         lines.append("")
         lines.append("## SLO latency")

@@ -1,7 +1,7 @@
 """Process-global observability runtime.
 
-Fourth subscriber to the :class:`repro.utils.runtime.ProcessGlobal`
-pattern (after telemetry, resilience, fleet): hot paths ask
+Third subscriber to the :class:`repro.utils.runtime.ProcessGlobal`
+pattern (after telemetry and resilience): hot paths ask
 :func:`active` for the process-global plane and check ``.enabled``
 before paying for a clock read, so the disabled path stays one
 function call and an attribute read — the same contract the <5%
@@ -85,11 +85,11 @@ _slot: "ProcessGlobal[ObservabilityRuntime]" = \
     ProcessGlobal(NOOP_OBSERVABILITY)
 
 
-def _build(export_path: "str | Path | None", slo_capacity: int,
+def _build(export_path: "str | Path | None",
            detectors: "DetectorRegistry | None", profile: bool,
            profile_interval_s: float) -> ObservabilityRuntime:
     runtime = ObservabilityRuntime(
-        slo=SloTracker(capacity=slo_capacity),
+        slo=SloTracker(),
         extractor=SignalExtractor(),
         detectors=(detectors if detectors is not None
                    else DetectorRegistry.default()),
@@ -103,13 +103,12 @@ def _build(export_path: "str | Path | None", slo_capacity: int,
 
 
 def configure(export_path: "str | Path | None" = None,
-              slo_capacity: int = 1024,
               detectors: "DetectorRegistry | None" = None,
               profile: bool = False,
               profile_interval_s: float = 0.05) -> ObservabilityRuntime:
     """Install a live observability plane; returns it."""
-    return _slot.install(_build(export_path, slo_capacity, detectors,
-                                profile, profile_interval_s))
+    return _slot.install(_build(export_path, detectors, profile,
+                                profile_interval_s))
 
 
 def disable() -> None:
@@ -129,11 +128,10 @@ def active() -> ObservabilityRuntime:
 
 
 def session(export_path: "str | Path | None" = None,
-            slo_capacity: int = 1024,
             detectors: "DetectorRegistry | None" = None,
             profile: bool = False,
             profile_interval_s: float = 0.05):
     """Scoped plane: configure, yield, close, restore the previous one."""
-    return _slot.scoped(_build(export_path, slo_capacity, detectors,
-                               profile, profile_interval_s),
+    return _slot.scoped(_build(export_path, detectors, profile,
+                               profile_interval_s),
                         on_exit=ObservabilityRuntime.close)

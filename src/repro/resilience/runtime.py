@@ -5,8 +5,8 @@ instrumented sites never own an injector, they call :func:`check` and
 get the process-global one. Until :func:`arm` installs a plan the
 shared no-op injector answers, so every fault point costs one function
 call and an attribute read in production. The slot is a
-:class:`repro.utils.runtime.ProcessGlobal`, the helper all four
-runtime modules (telemetry, resilience, fleet, observability) share.
+:class:`repro.utils.runtime.ProcessGlobal`, the helper all three
+runtime modules (telemetry, resilience, observability) share.
 
 Campaign worker processes arm their own injector (the supervisor ships
 the :class:`~repro.resilience.faults.FaultPlan` with each shard task)

@@ -23,9 +23,10 @@ parent held when the round began, and the parent merges what the
 chunks and its own minimizations learn before it plans the next round,
 so each gadget shape runs the scalar interpreter about once per search
 and the ``batch.*`` counters stay a function of the plan.  A lost
-worker's chunks are retried on a rebuilt pool; a chunk that fails
-every retry raises :class:`SearchError` before its round is reduced
-or checkpointed.
+worker fails only the chunk it was running (``worker-lost``): that
+chunk is retried on a freshly forked replacement worker while the
+other chunks keep running, and a chunk that fails every retry raises
+:class:`SearchError` before its round is reduced or checkpointed.
 
 Checkpoints (one JSON statefile per round, written atomically) carry
 the whole search state — coverage map, scheduler energies, corpus

@@ -50,6 +50,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NoopMetricsRegistry,
     histogram_quantile,
+    histogram_readout,
     merge_snapshots,
     read_snapshot,
     resolve_bounds,
@@ -104,6 +105,7 @@ __all__ = [
     "epsilon_summary",
     "flush",
     "histogram_quantile",
+    "histogram_readout",
     "ledger",
     "load_run",
     "merge_run",

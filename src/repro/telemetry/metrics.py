@@ -27,6 +27,9 @@ LATENCY_BUCKETS = (1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
                    1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
                    1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0)
 
+#: Quantiles every :func:`histogram_readout` reports.
+READOUT_QUANTILES = (0.5, 0.95, 0.99)
+
 #: Named bound presets accepted wherever ``bounds`` is: callers across
 #: processes that name the same preset get byte-identical bounds, so
 #: the cross-process bucket reduction in :func:`merge_snapshots` never
@@ -106,6 +109,12 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def payload(self) -> dict:
+        """The snapshot form :func:`merge_snapshots` and
+        :func:`histogram_readout` read."""
+        return {"bounds": list(self.bounds), "counts": list(self.counts),
+                "total": self.total, "count": self.count}
+
 
 class _NoopInstrument:
     """Shared disabled counter/gauge/histogram."""
@@ -178,10 +187,8 @@ class MetricsRegistry:
                          for name in sorted(self._counters)},
             "gauges": {name: self._gauges[name].value
                        for name in sorted(self._gauges)},
-            "histograms": {
-                name: {"bounds": list(h.bounds), "counts": list(h.counts),
-                       "total": h.total, "count": h.count}
-                for name, h in sorted(self._histograms.items())},
+            "histograms": {name: h.payload() for name, h
+                           in sorted(self._histograms.items())},
         }
 
     def write(self, path: "str | Path") -> Path:
@@ -286,6 +293,34 @@ def histogram_quantile(payload: dict, q: float) -> float:
         hi = bounds[i]
         return lo + (hi - lo) * ((rank - previous) / bucket_count)
     return float(bounds[-1])
+
+
+def histogram_readout(payload: dict) -> dict:
+    """The latency readout of one snapshot histogram payload.
+
+    ``count``, the exact ``mean`` (``total / count``) and one ``pNN``
+    per :data:`READOUT_QUANTILES` from :func:`histogram_quantile`; all
+    zeros for an empty histogram. Every SLO readout in the repo — the
+    live tracker's, a sharded fleet's merged one, ``repro top``'s and
+    ``report --trace``'s — is this function, so they agree wherever
+    they cover the same observations.
+    """
+    count = int(payload["count"])
+    readout = {"count": count,
+               "mean": float(payload["total"]) / count if count else 0.0}
+    for q in READOUT_QUANTILES:
+        readout[f"p{int(q * 100)}"] = histogram_quantile(payload, q)
+    return readout
+
+
+def slo_readouts(histograms: dict) -> dict:
+    """Readouts of the non-empty ``slo.<operation>.seconds`` payloads in
+    a snapshot's ``"histograms"`` block, keyed by operation, sorted."""
+    return {name[len("slo."):-len(".seconds")]:
+            histogram_readout(histograms[name])
+            for name in sorted(histograms)
+            if name.startswith("slo.") and name.endswith(".seconds")
+            and histograms[name]["count"]}
 
 
 def read_snapshot(path: "str | Path") -> dict:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from repro.analysis.ascii_chart import bar_chart, sparkline
 from repro.telemetry.aggregate import RunTelemetry, load_run
-from repro.telemetry.metrics import histogram_quantile
+from repro.telemetry.metrics import slo_readouts
 
 
 def _fmt_seconds(seconds: float) -> float:
@@ -87,22 +87,17 @@ def render_run(run: RunTelemetry) -> str:
                          f"kernel module {restarts[1]:,.0f}")
         lines.append("")
 
-    slo = {name: payload
-           for name, payload in run.metrics.get("histograms", {}).items()
-           if name.startswith("slo.") and name.endswith(".seconds")
-           and payload["count"]}
+    slo = slo_readouts(run.metrics.get("histograms", {}))
     alerts = counters.get("obs.alerts", 0)
     if slo or alerts:
         lines.append("## Observability")
-        for name in sorted(slo):
-            payload = slo[name]
-            operation = name[len("slo."):-len(".seconds")]
+        for operation, readout in slo.items():
             lines.append(
                 f"{operation}: "
-                f"p50 {histogram_quantile(payload, 0.5) * 1e3:.3f}ms, "
-                f"p95 {histogram_quantile(payload, 0.95) * 1e3:.3f}ms, "
-                f"p99 {histogram_quantile(payload, 0.99) * 1e3:.3f}ms "
-                f"over {payload['count']:,d} observations")
+                f"p50 {readout['p50'] * 1e3:.3f}ms, "
+                f"p95 {readout['p95'] * 1e3:.3f}ms, "
+                f"p99 {readout['p99'] * 1e3:.3f}ms "
+                f"over {readout['count']:,d} observations")
         if alerts:
             per_detector = ", ".join(
                 f"{name.removeprefix('obs.alert.')} x{value:,.0f}"

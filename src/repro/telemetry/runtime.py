@@ -12,8 +12,8 @@ per-shard session (``process="shard-00003"``) around each shard so its
 spans and metrics land in shard-owned files that the parent merges
 deterministically (:mod:`repro.telemetry.aggregate`), then the previous
 runtime — the parent's, under fork — is restored. The global slot is a
-:class:`repro.utils.runtime.ProcessGlobal`, the helper all four
-runtime modules (telemetry, resilience, fleet, observability) share.
+:class:`repro.utils.runtime.ProcessGlobal`, the helper all three
+runtime modules (telemetry, resilience, observability) share.
 """
 
 from __future__ import annotations

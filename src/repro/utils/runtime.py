@@ -1,11 +1,10 @@
 """The process-global runtime slot shared by every subsystem.
 
-Telemetry, fault injection, the fleet control plane, and the
-observability plane all follow the same pattern: hot-path code never
-owns the subsystem object, it asks a module-level accessor for the
-process-global one, and until something is configured the accessor
-hands back a shared no-op default so the disabled path costs one
-function call and an attribute read.
+Telemetry, fault injection and the observability plane all follow
+the same pattern: hot-path code never owns the subsystem object, it
+asks a module-level accessor for the process-global one, and until
+something is configured the accessor hands back a shared no-op default
+so the disabled path costs one function call and an attribute read.
 
 This module is that pattern, written once. Each subsystem's
 ``runtime`` module owns one :class:`ProcessGlobal` and keeps its

@@ -36,9 +36,9 @@ from repro.fleet import (
     sweep_stale_tmp,
     write_json_atomic,
 )
-from repro.fleet.shard import FleetShard
+from repro.fleet.shard import FleetShard, merge_slo
 from repro.fleet.statefile import TMP_PREFIX, TMP_SUFFIX
-from repro.observability.slo import merge_values
+from repro.observability.slo import SloTracker
 from repro.resilience.faults import FaultPlan
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
@@ -384,6 +384,21 @@ class TestShardedFleet:
         serve = report.slo["fleet.serve_window"]
         assert serve["count"] == len(specs) * WINDOWS
 
+    def test_observed_kill_counts_only_the_replayed_windows(
+            self, artifact, specs, reference):
+        fleet = ShardedFleet(artifact, shards=2, seed=SEED,
+                             fault_plan=kill_plan(0))
+        report = fleet.run(specs, windows=WINDOWS,
+                           slices_per_window=SLICES, mode="process",
+                           observe=True)
+        assert report.fingerprint() == reference
+        assert [c["crashed_shards"] for c in report.crashes] == [[0]]
+        # The killed generation's windows die with its worker; the
+        # replayed ones are counted once, like every other window.
+        assert report.slo["fleet.serve_window"]["count"] \
+            == report.served_windows == len(specs) * WINDOWS
+        assert fleet.status(report)["sharding"]["slo"] == report.slo
+
     def test_rejects_bad_config(self, artifact, specs):
         with pytest.raises(ValueError, match="overflow_policy"):
             ShardedFleet(artifact, overflow_policy="explode")
@@ -410,21 +425,33 @@ class TestShardedFleet:
         assert clone.replay.read_digests == report.replay.read_digests
 
 
-class TestMergeValues:
-    def test_exact_quantiles_over_the_union(self):
-        merged = merge_values([
-            {"op": [1.0, 2.0, 3.0]},
-            {"op": [4.0], "other": [9.0]},
-        ])
-        assert merged["op"]["count"] == 4
-        assert merged["op"]["p50"] == 2.0
-        assert merged["op"]["max"] == 4.0
+class TestMergeSlo:
+    def test_buckets_sum_over_the_union(self):
+        shard_a, shard_b, whole = SloTracker(), SloTracker(), SloTracker()
+        for tracker, values in ((shard_a, (3e-5, 2e-4, 2e-4)),
+                                (shard_b, (7e-4, 4e-3))):
+            for value in values:
+                tracker.observe("op", value)
+                whole.observe("op", value)
+        shard_b.observe("other", 9e-3)
+        exports = [shard_a.histograms(), shard_b.histograms()]
+        merged = merge_slo(exports)
+        assert sorted(merged) == ["op", "other"]
+        # One pass over the union: every bucket is the sum of the two
+        # shards' and the readout is the single tracker's.
+        assert merged["op"] == whole.readout("op")
+        assert whole.histograms()["op"]["counts"] == [
+            a + b for a, b in zip(exports[0]["op"]["counts"],
+                                  exports[1]["op"]["counts"])]
         assert merged["other"]["count"] == 1
 
-    def test_capacity_caps_the_pooled_window(self):
-        merged = merge_values([{"op": [1.0, 2.0, 3.0, 4.0]}], capacity=2)
-        assert merged["op"]["window"] == 2
-        assert merged["op"]["count"] == 4
+    def test_mismatched_bounds_raise(self):
+        other = {"op": {"bounds": [1.0], "counts": [1, 0],
+                        "total": 0.5, "count": 1}}
+        tracker = SloTracker()
+        tracker.observe("op", 1e-4)
+        with pytest.raises(ValueError, match="mismatched bucket bounds"):
+            merge_slo([tracker.histograms(), other])
 
 
 class TestShardedCli:

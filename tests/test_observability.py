@@ -1,4 +1,4 @@
-"""Observability plane: SLO windows, attack-signal detectors,
+"""Observability plane: SLO histograms, attack-signal detectors,
 exposition, and the fleet integration determinism guarantees.
 
 The acceptance bar: everything is a strict no-op while the plane is
@@ -30,7 +30,6 @@ from repro.observability import (
     SignalExtractor,
     SingleStepCadenceDetector,
     SloTracker,
-    SloWindow,
     SnapshotExporter,
     metric_name,
     read_export,
@@ -38,6 +37,7 @@ from repro.observability import (
     write_openmetrics,
 )
 from repro.observability import runtime as observability
+from repro.telemetry.metrics import slo_readouts
 
 
 @pytest.fixture(autouse=True)
@@ -50,53 +50,39 @@ def _clean_runtimes():
     telemetry.disable()
 
 
-# -- SLO windows ------------------------------------------------------
+# -- SLO histograms ---------------------------------------------------
 
 
-def test_slo_window_ring_buffer_wraps():
-    window = SloWindow(capacity=4)
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-        window.observe(value)
-    assert window.count == 6
-    assert window.values() == [3.0, 4.0, 5.0, 6.0]
-
-
-def test_slo_window_nearest_rank_quantiles():
-    window = SloWindow(capacity=100)
-    for value in range(1, 101):  # 1..100
-        window.observe(float(value))
-    assert window.quantile(0.5) == 50.0
-    assert window.quantile(0.95) == 95.0
-    assert window.quantile(0.99) == 99.0
-    assert window.quantile(1.0) == 100.0
-    assert window.quantile(0.0) == 1.0  # rank floors at 1
-
-
-def test_slo_window_quantile_validates_and_handles_empty():
-    window = SloWindow(capacity=4)
-    assert window.quantile(0.5) == 0.0
-    with pytest.raises(ValueError):
-        window.quantile(1.5)
-    with pytest.raises(ValueError):
-        SloWindow(capacity=0)
+def test_slo_readout_of_unobserved_operation_is_zero_and_unregistered():
+    tracker = SloTracker()
+    assert tracker.readout("fleet.tick") == {
+        "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    assert tracker.names() == []
+    assert tracker.readouts() == {}
 
 
 def test_slo_readout_fields():
-    window = SloWindow(capacity=8)
-    for value in (1.0, 2.0, 3.0, 4.0):
-        window.observe(value)
-    readout = window.readout()
+    tracker = SloTracker()
+    for value in (1e-4, 2e-4, 3e-4, 4e-4):
+        tracker.observe("fleet.serve_window", value)
+    readout = tracker.readout("fleet.serve_window")
+    assert sorted(readout) == ["count", "mean", "p50", "p95", "p99"]
     assert readout["count"] == 4
-    assert readout["window"] == 4
-    assert readout["mean"] == 2.5
-    assert readout["max"] == 4.0
-    assert readout["p50"] == 2.0
-    assert readout["p99"] == 4.0
+    assert readout["mean"] == pytest.approx(2.5e-4, rel=1e-12)
+    # Quantiles are the histogram's, so they agree with any reader of
+    # the same payload; the median falls in the (1e-4, 2.5e-4] bucket
+    # (2e-4), the 99th percentile in (2.5e-4, 5e-4] (3e-4, 4e-4).
+    payload = tracker.histograms()["fleet.serve_window"]
+    for q in (0.5, 0.95, 0.99):
+        assert readout[f"p{int(q * 100)}"] \
+            == telemetry.histogram_quantile(payload, q)
+    assert 1e-4 < readout["p50"] <= 2.5e-4
+    assert 2.5e-4 < readout["p99"] <= 5e-4
 
 
 def test_slo_tracker_mirrors_into_latency_histogram():
     with telemetry.session():
-        tracker = SloTracker(capacity=16)
+        tracker = SloTracker()
         tracker.observe("fleet.serve_window", 3e-4)
         tracker.observe("fleet.serve_window", 7e-4)
         snapshot = telemetry.metrics().snapshot()
@@ -104,11 +90,13 @@ def test_slo_tracker_mirrors_into_latency_histogram():
         assert payload["count"] == 2
         assert payload["bounds"] == list(telemetry.LATENCY_BUCKETS)
     assert tracker.names() == ["fleet.serve_window"]
-    assert tracker.readouts()["fleet.serve_window"]["count"] == 2
+    assert tracker.histograms()["fleet.serve_window"] == payload
+    assert tracker.readouts()["fleet.serve_window"] \
+        == telemetry.histogram_readout(payload)
 
 
 def test_slo_tracker_skips_mirror_when_telemetry_disabled():
-    tracker = SloTracker(capacity=16)
+    tracker = SloTracker()
     tracker.observe("cache.lookup", 1e-5)  # must not raise
     assert tracker.readout("cache.lookup")["count"] == 1
 
@@ -116,9 +104,9 @@ def test_slo_tracker_skips_mirror_when_telemetry_disabled():
 def test_noop_slo_tracker():
     NOOP_SLO.observe("anything", 1.0)
     assert NOOP_SLO.readouts() == {}
+    assert NOOP_SLO.histograms() == {}
     assert NOOP_SLO.readout("anything")["count"] == 0
-    with pytest.raises(RuntimeError):
-        NOOP_SLO.window("anything")
+    assert NOOP_SLO.names() == []
 
 
 # -- read-stream signals ----------------------------------------------
@@ -519,6 +507,25 @@ def test_status_carries_observability_block_and_health():
     assert block["slo"]["fleet.serve_window"]["count"] == 12
     assert block["slo"]["fleet.tick"]["count"] >= 3
     assert json.dumps(status)  # JSON-ready end to end
+
+
+def test_status_slo_equals_the_exported_histograms(tmp_path):
+    """``fleet status`` and the exported ``slo.*.seconds`` histograms
+    (what ``repro top`` and ``report --trace`` read) give one count,
+    p50, p95 and p99 per operation for the same run."""
+    export = tmp_path / "metrics-snapshots.jsonl"
+    plane = FleetControlPlane(default_artifact(), seed=0,
+                              capacity=1024, watermark=256)
+    generator = LoadGenerator(plane, default_specs(4), windows=3,
+                              slices_per_window=40, attackers=ATTACKERS)
+    with telemetry.session(), \
+            observability.session(export_path=export):
+        generator.run()
+        status = plane.status()
+    exported = read_export(export)[-1]["metrics"]["histograms"]
+    slo = status["observability"]["slo"]
+    assert slo["fleet.serve_window"]["count"] == 12
+    assert slo == slo_readouts(exported)
 
 
 def test_health_degrades_on_stalls_and_restarts():

@@ -1,10 +1,14 @@
 """Telemetry subsystem: spans, metrics, ledger, runtime, aggregation."""
 
+import bisect
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core.fuzzer import FuzzingCampaign
@@ -549,6 +553,30 @@ def test_histogram_quantile_overflow_clamps_to_last_bound():
     payload = {"bounds": [1.0, 2.0], "counts": [0, 0, 3],
                "count": 3, "total": 300.0}
     assert telemetry.histogram_quantile(payload, 0.99) == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-7, max_value=5.0,
+                          allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=200))
+def test_latency_quantile_lies_in_the_nearest_rank_bucket(durations):
+    """Every SLO p50/p95/p99 is this estimate: it lies inside the
+    latency bucket that holds the exact nearest-rank quantile, and past
+    the last bound (1 s) it is that bound."""
+    histogram = telemetry.Histogram("latency")
+    for value in durations:
+        histogram.observe(value)
+    bounds = telemetry.LATENCY_BUCKETS
+    ordered = sorted(durations)
+    for q in (0.5, 0.95, 0.99):
+        exact = ordered[max(math.ceil(q * len(ordered)), 1) - 1]
+        estimate = telemetry.histogram_quantile(histogram.payload(), q)
+        if exact > bounds[-1]:
+            assert estimate == bounds[-1]
+            continue
+        index = bisect.bisect_left(bounds, exact)
+        lower = bounds[index - 1] if index else 0.0
+        assert lower <= estimate <= bounds[index], (q, exact, estimate)
 
 
 # -- merged exposition determinism -----------------------------------
