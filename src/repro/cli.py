@@ -753,8 +753,9 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
     """Render a fleet-status.json written by ``fleet serve``.
 
     Exits non-zero when the control plane reports degraded health
-    (provisioning stalls, watchdog-restarted daemons), so scripts and
-    CI can gate on it.
+    (a fault withheld slices: provisioning stalls, admission faults,
+    a failed-closed policy path, dropped tenants), so scripts and CI
+    can gate on it.
     """
     import json
     import pathlib
@@ -787,8 +788,7 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
         _say(f"  {tenant_id}: {row['windows_served']} windows "
              f"({row['slices_served']:,} slices), buffer "
              f"{row['buffer_available']}/{row['buffer_capacity']}, "
-             f"{row['refills']} refills, {row['daemon_restarts']} "
-             f"restarts, budget {cap_text}"
+             f"{row['refills']} refills, budget {cap_text}"
              + (" [EXHAUSTED]" if budget["exhausted"] else ""))
     observability = status.get("observability")
     if observability is not None:

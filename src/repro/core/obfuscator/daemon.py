@@ -3,6 +3,9 @@
 Two components: the *noise calculator* (buffered Laplace draws, or the
 d* reconstruction fed by HPC samples streamed from the kernel module)
 and the *noise injector* (gadget repetitions on the protected vCPU).
+One daemon protects one guest; the multi-tenant fleet
+(:mod:`repro.fleet`) serves precomputed injection plans instead and
+runs no daemon.
 """
 
 from __future__ import annotations
@@ -32,30 +35,19 @@ class UserspaceDaemon:
         Converts noise counts into gadget repetitions.
     kernel_module:
         Source of live HPC samples (required by the d* mechanism).
-    calculator:
-        Optional replacement for the default buffered
-        :class:`NoiseCalculator` — e.g. one whose ``supplier`` pulls
-        from a fleet-provisioned per-tenant buffer. The daemon uses it
-        as-is; it must serve draws at the mechanism's scale.
     """
 
     def __init__(self, mechanism: DpMechanism, injector: NoiseInjector,
                  kernel_module: KernelModule | None = None,
-                 rng: "int | np.random.Generator | None" = None,
-                 calculator: "NoiseCalculator | None" = None) -> None:
+                 rng: "int | np.random.Generator | None" = None) -> None:
         self.mechanism = mechanism
         self.injector = injector
         self.kernel_module = kernel_module or KernelModule()
         self._rng = ensure_rng(rng)
         # The Laplace path pre-buffers draws at the mechanism's scale.
-        scale = mechanism.sensitivity / mechanism.epsilon
-        self.calculator = (calculator if calculator is not None
-                           else NoiseCalculator(scale, rng=self._rng))
+        self.calculator = NoiseCalculator(
+            mechanism.sensitivity / mechanism.epsilon, rng=self._rng)
         self.last_report: InjectionReport | None = None
-        #: Logical heartbeat the watchdog monitors: bumps once per
-        #: noise-window computation, so a wedged daemon stops beating.
-        self.heartbeat = 0
-        self.restarts = 0
 
     @property
     def needs_hpc_monitoring(self) -> bool:
@@ -65,19 +57,6 @@ class UserspaceDaemon:
     def start(self) -> None:
         """Receive the kernel module's launch signal."""
         self.kernel_module.launch(monitor_hpcs=self.needs_hpc_monitoring)
-
-    def restart(self) -> None:
-        """Watchdog entry point: recover a stale daemon in place.
-
-        Re-arms the kernel module (preserving d* slice state) and drops
-        the precomputed noise buffer — stale draws are discarded, never
-        reused, and the buffer refills before the next release.
-        """
-        self.restarts += 1
-        if self.needs_hpc_monitoring and not self.kernel_module.running:
-            self._recover_kernel_module()
-        self.calculator.rescale(self.calculator.scale)
-        self.heartbeat += 1
 
     def _recover_kernel_module(self) -> None:
         """Bring a crashed kernel module back without losing d* state."""
@@ -101,7 +80,6 @@ class UserspaceDaemon:
 
     def compute_noise(self, reference_values: np.ndarray) -> np.ndarray:
         """Per-slice noise for one window of reference-event values."""
-        self.heartbeat += 1
         with telemetry.tracer().span(
                 "obfuscate.noise",
                 mechanism=type(self.mechanism).__name__):

@@ -16,8 +16,6 @@ spends no budget and leaks no value, which is the safe direction).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.core.obfuscator.dp import laplace_sample
@@ -25,10 +23,6 @@ from repro.resilience import runtime as resilience
 from repro.resilience.faults import InjectedFault
 from repro.telemetry import runtime as telemetry
 from repro.utils.rng import ensure_rng
-
-#: External noise source: ``supplier(count)`` returns ``count`` draws
-#: or raises :class:`NoiseExhausted`.
-SupplierFn = Callable[[int], np.ndarray]
 
 
 class NoiseExhausted(RuntimeError):
@@ -52,20 +46,11 @@ class NoiseCalculator:
     refill_retries:
         Failed refill attempts tolerated (with a stall each) before a
         draw gives up with :class:`NoiseExhausted`.
-    supplier:
-        Optional external noise source ``supplier(count) -> ndarray``.
-        When set, refills pull from it instead of drawing locally —
-        this is how a fleet-provisioned tenant buffer backs a stock
-        daemon. The supplier owns its own distribution (``scale`` is
-        informational) and signals exhaustion by raising
-        :class:`NoiseExhausted`, which propagates unchanged so the
-        fail-closed contract is identical on both paths.
     """
 
     def __init__(self, scale: float, buffer_size: int = 4096,
                  rng: "int | np.random.Generator | None" = None,
-                 refill_retries: int = 4,
-                 supplier: "SupplierFn | None" = None) -> None:
+                 refill_retries: int = 4) -> None:
         if scale < 0:
             raise ValueError(f"scale must be non-negative, got {scale}")
         if buffer_size < 1:
@@ -76,7 +61,6 @@ class NoiseCalculator:
         self.scale = float(scale)
         self.buffer_size = buffer_size
         self.refill_retries = refill_retries
-        self.supplier = supplier
         self._rng = ensure_rng(rng)
         self._buffer = np.empty(0)
         self._cursor = 0
@@ -96,12 +80,8 @@ class NoiseCalculator:
                 self.stalls += 1
                 telemetry.metrics().counter("daemon.noise_stalls").inc()
                 continue
-            if self.supplier is not None:
-                drawn = self.supplier(self.buffer_size)
-            else:
-                drawn = laplace_sample(self.scale, self._rng,
-                                       size=self.buffer_size)
-            self._buffer = np.asarray(drawn, dtype=float)
+            self._buffer = laplace_sample(self.scale, self._rng,
+                                          size=self.buffer_size)
             self._cursor = 0
             self.refills += 1
             return

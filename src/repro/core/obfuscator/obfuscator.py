@@ -16,7 +16,6 @@ from repro.core.obfuscator.dp import DpMechanism, DstarMechanism, LaplaceMechani
 from repro.core.obfuscator.injector import (
     InjectionReport, NoiseInjector, default_noise_components)
 from repro.core.obfuscator.kernel_module import KernelModule
-from repro.core.obfuscator.noise import NoiseCalculator, SupplierFn
 from repro.cpu.events import EventCatalog, processor_catalog
 from repro.telemetry import runtime as telemetry
 from repro.utils.rng import ensure_rng
@@ -93,12 +92,6 @@ class EventObfuscator:
         A restored :class:`PrivacyAccountant` carrying budget already
         spent by a previous process (e.g. loaded from a deployment
         artifact after a crash); a fresh one is created when omitted.
-    noise_supplier:
-        Optional external source backing the daemon's noise calculator
-        (``supplier(count) -> ndarray``) — the fleet provisioner hands
-        each tenant's obfuscator a supplier reading that tenant's
-        precomputed buffer, keeping noise generation central while the
-        fail-closed serving path stays stock.
     """
 
     def __init__(self, mechanism: "str | DpMechanism" = "laplace",
@@ -109,7 +102,6 @@ class EventObfuscator:
                  segment_signals: np.ndarray | None = None,
                  clip_bound: float = np.inf,
                  accountant: PrivacyAccountant | None = None,
-                 noise_supplier: "SupplierFn | None" = None,
                  rng: "int | np.random.Generator | None" = None) -> None:
         self.catalog = catalog or processor_catalog(processor_model)
         self.reference_event = reference_event
@@ -132,14 +124,8 @@ class EventObfuscator:
             segment, self._reference_weights, clip_bound=clip_bound,
             rng=np.random.default_rng(int(self._rng.integers(2**63))))
         self.kernel_module = KernelModule()
-        calculator = None
-        if noise_supplier is not None:
-            calculator = NoiseCalculator(
-                self.mechanism.sensitivity / self.mechanism.epsilon,
-                rng=self._rng, supplier=noise_supplier)
         self.daemon = UserspaceDaemon(self.mechanism, self.injector,
-                                      self.kernel_module, rng=self._rng,
-                                      calculator=calculator)
+                                      self.kernel_module, rng=self._rng)
         if accountant is not None \
                 and accountant.per_slice_epsilon != self.mechanism.epsilon:
             raise ValueError(

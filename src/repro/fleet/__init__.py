@@ -5,10 +5,9 @@ host: a versioned artifact registry hands the offline stage's output to
 every tenant, a provisioning service batch-precomputes each tenant's
 value-independent injection plan from one seeded RNG tree, an admission
 controller polices per-tenant ε-quotas and noise backpressure (fail
-closed on both), and a scheduler multiplexes daemon heartbeats,
-watchdog restarts, and host HPC reads across the fleet. A trace-replay
-load generator drives it deterministically enough to assert
-bit-identity across runs.
+closed on both), and a scheduler multiplexes watermark refills and
+host HPC reads across the fleet. A trace-replay load generator drives
+it deterministically enough to assert bit-identity across runs.
 
 Beyond one process, a consistent-hash router shards the tenant set
 across sacrificial worker processes (crash-and-replay recovery) while

@@ -15,7 +15,8 @@ every path:
   provisioner recovers. No partial windows, ever.
 - **Faults**: the ``fleet.admit`` point models a wedged admission
   service itself; an injected fault rejects the window (retryable)
-  rather than letting it bypass the checks.
+  rather than letting it bypass the checks, and is counted per tenant
+  in ``faulted_windows`` so fleet health can name it.
 - **Quarantine**: with a defense policy armed
   (:class:`~repro.fleet.policy.DefensePolicyEngine`), a tenant the
   policy holds in QUARANTINED is denied outright (``quarantined``,
@@ -29,6 +30,7 @@ the tenant-isolation tests pin down bit-for-bit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.obfuscator.noise import NoiseExhausted
@@ -64,6 +66,7 @@ class AdmissionController:
         self.policy = policy
         self.admitted_windows = 0
         self.rejected_windows = 0
+        self.faulted_windows: Counter[str] = Counter()
 
     def admit(self, tenant_id: str, slices: int) -> AdmissionDecision:
         """Decide one window. Never raises for policy outcomes —
@@ -76,6 +79,7 @@ class AdmissionController:
             resilience.check("fleet.admit",
                              key=stable_key(tenant_id) & 0xFFFF)
         except InjectedFault:
+            self.faulted_windows[tenant_id] += 1
             return self._reject(tenant_id, slices, "admission-fault",
                                 retryable=True)
         if self.policy is not None:

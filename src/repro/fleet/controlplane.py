@@ -1,9 +1,11 @@
 """The fleet control plane: N obfuscated guests behind one scheduler.
 
 This is the paper's deployment story at fleet scale: one host runs many
-SEV guests, each with its own Event Obfuscator, and a single control
-plane provisions their noise, polices their privacy quotas, and keeps
-their daemons alive. The pieces:
+SEV guests, each protected by the Event Obfuscator, and a single control
+plane provisions their noise and polices their privacy quotas. Where
+the paper's per-guest daemon buffers Laplace draws (Fig. 7), the fleet
+precomputes each tenant's whole injection plan, so no tenant runs a
+daemon of its own. The pieces:
 
 - an :class:`~repro.fleet.registry.ArtifactRegistry` artifact fixes the
   calibration (components, reference event, ε, Δ, B_u) for every
@@ -14,8 +16,8 @@ their daemons alive. The pieces:
   window on the tenant's ε-quota and noise availability (fail closed);
 - the scheduler (:meth:`FleetControlPlane.tick`) multiplexes the
   per-tenant housekeeping a real deployment spreads across threads:
-  watermark refills, daemon heartbeat/watchdog polls, and the host's
-  periodic HPC reads of every guest vCPU.
+  watermark refills and the host's periodic HPC reads of every guest
+  vCPU.
 
 Serving happens at the observable boundary: the hypervisor only ever
 sees the monitored events' counts, so the fleet serves noised *event*
@@ -34,7 +36,6 @@ fault check precedes every stream draw.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,10 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.artifacts import DeploymentArtifact
-from repro.core.obfuscator.daemon import UserspaceDaemon
-from repro.core.obfuscator.dp import LaplaceMechanism
-from repro.core.obfuscator.injector import NoiseInjector
-from repro.core.obfuscator.noise import NoiseCalculator
 from repro.cpu.events import processor_catalog
 from repro.fleet.admission import AdmissionController, AdmissionDecision
 from repro.fleet.ledger import FleetLedger
@@ -57,7 +54,6 @@ from repro.fleet.provisioner import (
 from repro.fleet.policy import DefensePolicyEngine
 from repro.fleet.registry import check_compatible
 from repro.observability import runtime as observability
-from repro.resilience.watchdog import DaemonWatchdog
 from repro.telemetry import runtime as telemetry
 from repro.utils.rng import derive_stream
 from repro.vm.hypervisor import Hypervisor
@@ -80,8 +76,6 @@ class TenantRuntime:
 
     spec: TenantSpec
     guest_name: str
-    daemon: UserspaceDaemon
-    watchdog: DaemonWatchdog
     windows_served: int = 0
     slices_served: int = 0
     hpc_reads: int = 0
@@ -106,18 +100,6 @@ class FleetControlPlane:
         defeats batched provisioning).
     seed:
         Root entropy of the fleet RNG tree.
-    monitored_events:
-        Host-visible HPC events served to readers; defaults to the
-        artifact's top four vulnerable events (the paper's count).
-    housekeeping_interval:
-        Ticks between one tenant's housekeeping visits (watchdog poll,
-        host HPC reads, watermark check). ``1`` — the default — visits
-        every tenant every tick, byte-for-byte the old full-sweep
-        schedule; larger intervals make :meth:`tick` event-driven: a
-        min-heap of ``(due_tick, tenant)`` is popped instead of
-        sweeping the whole fleet, so a tick costs O(due log N) rather
-        than O(N). Serving is unaffected either way — noised reads and
-        ledgers are bit-identical across intervals.
     defense_policy:
         Arm the adaptive defense plane: an
         :class:`~repro.fleet.policy.EscalationProfile` (or a
@@ -132,16 +114,14 @@ class FleetControlPlane:
         (provisioning, policy decisions) past budgets an earlier
         generation consumed, so ``times``-bounded chaos faults do not
         re-fire on every replacement.
+
+    The host-visible events served to readers are the artifact's top
+    four vulnerable events (the paper's count).
     """
 
     def __init__(self, artifact: DeploymentArtifact, seed: int = 0,
-                 monitored_events: "list[str] | None" = None,
                  capacity: int = DEFAULT_CAPACITY,
                  watermark: int = DEFAULT_WATERMARK,
-                 refill_retries: int = 4,
-                 stale_polls: int = 2,
-                 hypervisor: "Hypervisor | None" = None,
-                 housekeeping_interval: int = 1,
                  defense_policy=None,
                  fault_generation: int = 0) -> None:
         if artifact.mechanism != "laplace":
@@ -153,10 +133,10 @@ class FleetControlPlane:
         self.artifact = artifact
         self.seed = int(seed)
         self.catalog = processor_catalog(artifact.processor_model)
-        events = (list(monitored_events) if monitored_events is not None
-                  else list(artifact.vulnerable_events[:4]))
+        events = list(artifact.vulnerable_events[:4])
         if not events:
-            raise ValueError("need at least one monitored event")
+            raise ValueError("need at least one monitored event; the "
+                             "artifact lists no vulnerable events")
         self.monitored_events = events
         self._event_weights = np.stack(
             [self.catalog.weights[self.catalog.index_of(name)]
@@ -164,17 +144,12 @@ class FleetControlPlane:
         reference_weights = self.catalog.weights[
             self.catalog.index_of(artifact.reference_event)]
         scale = artifact.sensitivity / artifact.epsilon
-        if housekeeping_interval < 1:
-            raise ValueError(f"housekeeping_interval must be >= 1, "
-                             f"got {housekeeping_interval}")
-        self.housekeeping_interval = int(housekeeping_interval)
         self.provisioner = NoiseProvisioner(
             entropy=self.seed, scale=scale,
             components=artifact.segment_signals,
             reference_weights=reference_weights,
             clip_bound=artifact.clip_bound,
             capacity=capacity, watermark=watermark,
-            refill_retries=refill_retries,
             fault_attempt_bias=fault_generation)
         # The serving projection: per-repetition monitored-event counts
         # of each gadget component, (K, E).
@@ -189,18 +164,12 @@ class FleetControlPlane:
                 fault_attempt_bias=fault_generation)
         self.admission = AdmissionController(self.ledger, self.provisioner,
                                              policy=self.policy)
-        self.hypervisor = hypervisor if hypervisor is not None \
-            else Hypervisor(processor_model=artifact.processor_model,
-                            rng=derive_stream(self.seed, "hypervisor"))
-        self.stale_polls = stale_polls
+        self.hypervisor = Hypervisor(
+            processor_model=artifact.processor_model,
+            rng=derive_stream(self.seed, "hypervisor"))
         self.tenants: dict[str, TenantRuntime] = {}
         self.ticks = 0
         self._guest_tenant: dict[str, str] = {}
-        # Event-driven scheduling: (due_tick, tenant_id) min-heap. Ties
-        # resolve by tenant id (tuple order), and the due set is sorted
-        # before processing, so the visit order within a tick matches
-        # the old sorted full sweep exactly.
-        self._due: list[tuple[int, str]] = []
         self.hypervisor.install_read_tap(self._on_host_read)
 
     @property
@@ -211,18 +180,13 @@ class FleetControlPlane:
     # -- tenant lifecycle ---------------------------------------------
 
     def admit_tenant(self, spec: TenantSpec) -> TenantRuntime:
-        """Launch a guest for ``spec`` and wire its obfuscator stack.
-
-        The tenant gets a stock userspace daemon whose calculator pulls
-        from the fleet provisioner (the ``supplier`` hook), so the
-        single-VM fail-closed semantics are preserved verbatim; the
-        batched serving path shares the same buffer cursor.
-        """
+        """Launch a guest for ``spec``: register its ε-quota, allocate
+        its plan buffer, and program its vCPU's HPCs with the monitored
+        events."""
         if spec.tenant_id in self.tenants:
             raise ValueError(f"tenant {spec.tenant_id!r} already admitted")
-        artifact = self.artifact
         self.ledger.register(
-            spec.tenant_id, per_slice_epsilon=artifact.epsilon,
+            spec.tenant_id, per_slice_epsilon=self.artifact.epsilon,
             epsilon_cap=spec.epsilon_cap,
             state=spec.accountant_state)
         self.provisioner.create_buffer(spec.tenant_id)
@@ -231,28 +195,11 @@ class FleetControlPlane:
         guest.spawn_process(f"workload-{spec.workload}", vcpu_index=0)
         for slot, event in enumerate(self.monitored_events):
             self.hypervisor.program_vcpu_hpc(guest.name, 0, slot, event)
-        mechanism = LaplaceMechanism(artifact.epsilon, artifact.sensitivity)
-        injector = NoiseInjector(
-            artifact.segment_signals,
-            self.catalog.weights[
-                self.catalog.index_of(artifact.reference_event)],
-            clip_bound=artifact.clip_bound,
-            rng=derive_stream(self.seed, "injector", spec.tenant_id))
-        calculator = NoiseCalculator(
-            mechanism.sensitivity / mechanism.epsilon,
-            supplier=self.provisioner.supplier(spec.tenant_id))
-        daemon = UserspaceDaemon(mechanism, injector,
-                                 rng=derive_stream(self.seed, "daemon",
-                                                   spec.tenant_id),
-                                 calculator=calculator)
-        runtime = TenantRuntime(
-            spec=spec, guest_name=guest.name, daemon=daemon,
-            watchdog=DaemonWatchdog(daemon, stale_polls=self.stale_polls))
+        runtime = TenantRuntime(spec=spec, guest_name=guest.name)
         self.tenants[spec.tenant_id] = runtime
         self._guest_tenant[guest.name] = spec.tenant_id
         if self.policy is not None:
             self.policy.register_tenant(spec.tenant_id)
-        heapq.heappush(self._due, (self.ticks + 1, spec.tenant_id))
         registry = telemetry.metrics()
         if registry.enabled:
             registry.counter("fleet.tenants_admitted").inc()
@@ -331,7 +278,6 @@ class FleetControlPlane:
         np.matmul(plan, self._comp_event, out=out)
         np.add(event_matrix, out, out=out)
         self.ledger.account(tenant_id, slices)
-        runtime.daemon.heartbeat += 1
         runtime.windows_served += 1
         runtime.slices_served += slices
         registry = telemetry.metrics()
@@ -353,45 +299,26 @@ class FleetControlPlane:
         return result
 
     def _tick(self) -> dict:
-        """One control-loop round over the tenants *due* this tick.
+        """One control-loop round over every tenant, in sorted order.
 
         Multiplexes the housekeeping a deployment runs continuously:
-        watermark-driven provisioning, daemon watchdog polls, and one
-        host-side HPC read per guest (the kernel-module/hypervisor
-        read path the side channel rides on). Housekeeping reads carry
-        tick-granular logical timestamps (slot reads spread at 1/8-tick
-        offsets) so the signal extractor sees them on a coarser
-        timebase than any polling burst — they reset runs, never
-        extend them.
-
-        Due tenants come off the ``(due_tick, tenant)`` min-heap and go
-        back on at ``tick + housekeeping_interval``; with the default
-        interval of 1 every tenant is due every tick and the schedule
-        is identical to the old sorted full sweep. The heap is what
-        makes a six-figure-tenant tick affordable: cost scales with the
-        due set, never the fleet.
+        watermark-driven provisioning and one host-side HPC read per
+        guest (the kernel-module/hypervisor read path the side channel
+        rides on). Housekeeping reads carry tick-granular logical
+        timestamps (slot reads spread at 1/8-tick offsets) so the
+        signal extractor sees them on a coarser timebase than any
+        polling burst — they reset runs, never extend them.
         """
         self.ticks += 1
-        due: list[str] = []
-        while self._due and self._due[0][0] <= self.ticks:
-            due.append(heapq.heappop(self._due)[1])
-        due.sort()
-        with telemetry.tracer().span("fleet.tick", tick=self.ticks,
-                                     due=len(due)):
-            provisioned = self.provisioner.top_up(only=due)
-            restarts = 0
-            for tenant_id in due:
+        with telemetry.tracer().span("fleet.tick", tick=self.ticks):
+            provisioned = self.provisioner.top_up()
+            for tenant_id in sorted(self.tenants):
                 runtime = self.tenants[tenant_id]
-                if not runtime.watchdog.poll():
-                    restarts += 1
                 for slot in range(len(self.monitored_events)):
                     self.hypervisor.read_vcpu_hpc(
                         runtime.guest_name, 0, slot,
                         at=self.ticks + slot * 0.125)
                 runtime.hpc_reads += len(self.monitored_events)
-                heapq.heappush(
-                    self._due,
-                    (self.ticks + self.housekeeping_interval, tenant_id))
             # The defense plane decides after the tick's reads landed:
             # alerts raised up to and including this tick are consumed
             # in one deterministic batch, per tenant in sorted order.
@@ -400,9 +327,7 @@ class FleetControlPlane:
         registry = telemetry.metrics()
         if registry.enabled:
             registry.counter("fleet.ticks").inc()
-        return {"tick": self.ticks, "due_tenants": len(due),
-                "provisioned_slices": provisioned,
-                "daemon_restarts": restarts}
+        return {"tick": self.ticks, "provisioned_slices": provisioned}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -416,27 +341,27 @@ class FleetControlPlane:
     def health(self) -> dict:
         """Actionable fleet health: healthy flag plus why-not reasons.
 
-        Degraded when any tenant's noise provisioning has stalled
-        (fail-closed slices withheld — the fleet equivalent of a
-        quarantined shard) or its daemon watchdog had to restart a
-        stalled heartbeat. Budget exhaustion is *not* unhealthy: a
-        tenant running out of ε-quota is admission control doing its
-        job.
+        Degraded exactly when a fault withheld a tenant's slices: its
+        noise provisioning stalled, an admission fault rejected one of
+        its windows, or the defense plane's decision path failed
+        closed. Waiting its turn, budget exhaustion and alert-driven
+        quarantine are *not* unhealthy: they are the scheduler,
+        admission control and the defense plane doing their jobs.
         """
         reasons: list[str] = []
         for tenant_id in sorted(self.tenants):
-            runtime = self.tenants[tenant_id]
             stalls = self.provisioner.buffer(tenant_id).stalls
             if stalls:
                 reasons.append(
                     f"tenant {tenant_id}: {stalls} provisioning "
                     f"stall(s) — noise refills failing, slices "
                     f"withheld fail-closed")
-            restarts = runtime.watchdog.restarts
-            if restarts:
+            faulted = self.admission.faulted_windows[tenant_id]
+            if faulted:
                 reasons.append(
-                    f"tenant {tenant_id}: daemon heartbeat stalled, "
-                    f"watchdog restarted it {restarts} time(s)")
+                    f"tenant {tenant_id}: {faulted} window(s) rejected "
+                    f"by admission faults — slices withheld "
+                    f"fail-closed")
         # Alert-driven escalation is the defense plane *working*; only
         # a faulted decision path (fail-closed quarantine forced by the
         # engine itself crashing) degrades health.
@@ -460,8 +385,6 @@ class FleetControlPlane:
                 "provision_stalls": buffer.stalls,
                 "windows_served": runtime.windows_served,
                 "slices_served": runtime.slices_served,
-                "daemon_heartbeat": runtime.daemon.heartbeat,
-                "daemon_restarts": runtime.watchdog.restarts,
                 "hpc_reads": runtime.hpc_reads,
             }
         payload = {

@@ -162,12 +162,10 @@ class LoadGenerator:
         Replay volume: every tenant submits ``windows`` windows of
         ``slices_per_window`` slices (its recorded trace, repeated).
     concurrency:
-        Tenants interleaved per scheduling round. ``None`` means all —
-        full multiplexing; ``1`` degenerates to serving tenants
-        strictly one after another.
-    ticks_per_round:
-        Control-plane ticks (watchdog polls, HPC reads, watermark
-        refills) interleaved after each scheduling round.
+        Tenants interleaved per scheduling round; one control-plane
+        tick (watermark refills, host HPC reads) follows each round.
+        ``None`` means all — full multiplexing; ``1`` degenerates to
+        serving tenants strictly one after another.
     attackers:
         Optional ``{tenant_id: AttackerProfile}`` — after each listed
         tenant's window is served, its attack trace replays against
@@ -183,7 +181,6 @@ class LoadGenerator:
     def __init__(self, plane: FleetControlPlane, specs: list[TenantSpec],
                  windows: int = 4, slices_per_window: int = 3000,
                  concurrency: "int | None" = None,
-                 ticks_per_round: int = 1,
                  slice_s: float = 1e-3,
                  attackers: "dict[str, AttackerProfile] | None" = None,
                  window_hook=None,
@@ -201,7 +198,6 @@ class LoadGenerator:
         self.windows = windows
         self.slices_per_window = slices_per_window
         self.concurrency = concurrency
-        self.ticks_per_round = ticks_per_round
         self.slice_s = slice_s
         self.window_hook = window_hook
         self.attackers = dict(attackers) if attackers else {}
@@ -283,8 +279,7 @@ class LoadGenerator:
                         if profile is not None:
                             self._inject_attack(tenant_id, profile,
                                                 window)
-                    for _ in range(self.ticks_per_round):
-                        plane.tick()
+                    plane.tick()
                 if self.window_hook is not None:
                     self.window_hook(window)
         elapsed = time.perf_counter() - start

@@ -6,11 +6,10 @@ Laplace mechanism the *entire injection plan* is value-independent:
 noise draw, Dirichlet component mix, and per-component gadget
 repetitions ``rint(clip(noise) · mix / counts_per_rep)`` depend only on
 the RNG stream — never on the guest's HPC values. So the provisioner
-precomputes, per tenant and in large vectorized batches, both the raw
-draws (to back a stock daemon's calculator via its ``supplier`` hook)
-and the finished per-component repetition plan (for the control
-plane's batched serving path). Serving a slice then costs one matmul
-row and an add.
+precomputes, per tenant and in large vectorized batches, the finished
+per-component repetition plan the control plane serves, alongside the
+raw draws it was built from. Serving a slice then costs one matmul row
+and an add.
 
 Every tenant's sequence comes from one seeded RNG tree
 (:func:`repro.utils.rng.derive_stream` with the tenant id as the spawn
@@ -64,9 +63,8 @@ class TenantNoiseBuffer:
 
     Rows ``[cursor, fill)`` of ``noise`` (raw Laplace draws) and
     ``per_comp`` (per-component repetitions, ``(capacity, K)``) are
-    live and correspond one-to-one; consumption advances the shared
-    cursor so the supplier path and the batched serving path can never
-    double-spend a draw.
+    live and correspond one-to-one; consumption advances one cursor
+    over both, so no draw is ever served twice.
     """
 
     def __init__(self, tenant_id: str, capacity: int, watermark: int,
@@ -389,36 +387,18 @@ class NoiseProvisioner:
             self.refill(buffer)
         return buffer.consume(count)
 
-    def supplier(self, tenant_id: str):
-        """A ``supplier(count) -> ndarray`` backing a stock daemon.
-
-        Hands out copies of the tenant's raw draws so a
-        :class:`~repro.core.obfuscator.noise.NoiseCalculator` can own
-        its buffer; the shared cursor still advances, keeping the
-        supplier and plan paths mutually exclusive per draw.
-        """
-        def pull(count: int) -> np.ndarray:
-            _, noise = self.take(tenant_id, count)
-            return noise.copy()
-        return pull
-
-    def top_up(self, only: "list[str] | None" = None) -> int:
+    def top_up(self) -> int:
         """Refill buffers below their watermark; returns slices
-        provisioned. ``only`` restricts the sweep to the named tenants
-        (the event-driven scheduler passes the tick's due set so the
-        cost is O(due), not O(fleet)); ``None`` sweeps everyone.
-        Tenants are visited in sorted order so the schedule is
-        deterministic.
+        provisioned. Tenants are visited in sorted order so the
+        schedule is deterministic.
 
         Best-effort: a tenant whose refill stays stalled past its
         retries is skipped (the stall is already counted) — the next
         serving attempt fails closed at admission as backpressure.
         A wedged provisioner must never take the scheduler down with
         it."""
-        tenant_ids = sorted(self.buffers) if only is None \
-            else sorted(set(only) & self.buffers.keys())
         provisioned = 0
-        for tenant_id in tenant_ids:
+        for tenant_id in sorted(self.buffers):
             buffer = self.buffers[tenant_id]
             if buffer.below_watermark:
                 try:

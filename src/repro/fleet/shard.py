@@ -85,9 +85,7 @@ class FleetShard:
     slices_per_window: int
     capacity: int = DEFAULT_CAPACITY
     watermark: int = DEFAULT_WATERMARK
-    housekeeping_interval: int = 1
     concurrency: "int | None" = None
-    ticks_per_round: int = 1
     slice_s: float = 1e-3
     fault_plan: object = None
     generation: int = 0
@@ -120,7 +118,6 @@ class FleetShard:
             plane = FleetControlPlane(
                 self.artifact, seed=self.seed,
                 capacity=self.capacity, watermark=self.watermark,
-                housekeeping_interval=self.housekeeping_interval,
                 defense_policy=self.defense_policy,
                 fault_generation=self.generation)
             try:
@@ -136,7 +133,6 @@ class FleetShard:
                         plane, list(self.specs), windows=self.windows,
                         slices_per_window=self.slices_per_window,
                         concurrency=self.concurrency,
-                        ticks_per_round=self.ticks_per_round,
                         slice_s=self.slice_s,
                         attackers=self.attackers,
                         window_hook=self._crash_check)
@@ -269,7 +265,6 @@ class ShardedFleet:
                  replicas: int = DEFAULT_REPLICAS,
                  capacity: int = DEFAULT_CAPACITY,
                  watermark: int = DEFAULT_WATERMARK,
-                 housekeeping_interval: int = 1,
                  fault_plan=None,
                  max_tenants_per_shard: "int | None" = None,
                  overflow_policy: str = "queue",
@@ -293,7 +288,6 @@ class ShardedFleet:
         self.router = FleetRouter.for_shard_count(shards, replicas=replicas)
         self.capacity = capacity
         self.watermark = watermark
-        self.housekeeping_interval = housekeeping_interval
         self.fault_plan = fault_plan
         self.max_tenants_per_shard = max_tenants_per_shard
         self.overflow_policy = overflow_policy
@@ -309,8 +303,7 @@ class ShardedFleet:
 
     def _build_shard(self, shard_id: int, specs: list, windows: int,
                      slices_per_window: int, generation: int,
-                     observe: bool, concurrency, ticks_per_round: int,
-                     slice_s: float,
+                     observe: bool, concurrency, slice_s: float,
                      attackers: "dict | None" = None) -> FleetShard:
         shard_attackers = None
         if attackers:
@@ -322,9 +315,8 @@ class ShardedFleet:
             specs=specs, windows=windows,
             slices_per_window=slices_per_window,
             capacity=self.capacity, watermark=self.watermark,
-            housekeeping_interval=self.housekeeping_interval,
-            concurrency=concurrency, ticks_per_round=ticks_per_round,
-            slice_s=slice_s, fault_plan=self.fault_plan,
+            concurrency=concurrency, slice_s=slice_s,
+            fault_plan=self.fault_plan,
             generation=generation, observe=observe,
             defense_policy=self.defense_policy,
             attackers=shard_attackers)
@@ -363,8 +355,7 @@ class ShardedFleet:
 
     def run(self, specs: "list[TenantSpec]", windows: int = 4,
             slices_per_window: int = 3000, mode: str = "process",
-            concurrency: "int | None" = None, ticks_per_round: int = 1,
-            slice_s: float = 1e-3,
+            concurrency: "int | None" = None, slice_s: float = 1e-3,
             observe: bool = False,
             attackers: "dict | None" = None) -> ShardedReplayReport:
         """Route, replay, recover, merge.
@@ -425,7 +416,7 @@ class ShardedFleet:
                     self._build_shard(
                         shard_id, [spec_by_id[t] for t in tenant_ids],
                         windows, slices_per_window, generation,
-                        observe, concurrency, ticks_per_round, slice_s,
+                        observe, concurrency, slice_s,
                         attackers=attackers)
                     for shard_id, tenant_ids in sorted(pending.items())]
                 results = self._run_batch(batch, mode)
@@ -550,7 +541,6 @@ class ShardedFleet:
                 "shards": self.shard_count,
                 "mode": report.mode,
                 "router": self.router.describe(),
-                "housekeeping_interval": self.housekeeping_interval,
                 "per_shard": per_shard,
                 "crashes": report.crashes,
                 "dropped_tenants": report.dropped_tenants,

@@ -62,7 +62,7 @@ def render_status_frame(status: dict,
     tenants = status.get("tenants", {})
     if tenants:
         rows = [("tenant", "workload", "buffer", "windows", "slices",
-                 "hpc", "beat", "restarts", "stalls")]
+                 "hpc", "stalls")]
         for tenant_id in sorted(tenants):
             tenant = tenants[tenant_id]
             rows.append((
@@ -71,8 +71,6 @@ def render_status_frame(status: dict,
                 str(tenant["windows_served"]),
                 str(tenant["slices_served"]),
                 str(tenant["hpc_reads"]),
-                str(tenant["daemon_heartbeat"]),
-                str(tenant["daemon_restarts"]),
                 str(tenant["provision_stalls"])))
         widths = [max(len(row[i]) for row in rows)
                   for i in range(len(rows[0]))]

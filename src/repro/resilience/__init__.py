@@ -1,6 +1,6 @@
 """Resilience: deterministic fault injection, supervision, degradation.
 
-Three pillars (DESIGN.md section 9):
+Two pillars (DESIGN.md section 10):
 
 - :mod:`repro.resilience.faults` — named fault points a seeded
   :class:`FaultPlan` arms to raise, hang, corrupt, or kill, with every
@@ -11,8 +11,10 @@ Three pillars (DESIGN.md section 9):
   through: one pool of worker processes that answer for their own
   task, per-task timeouts, bounded retries with seeded backoff,
   poison-shard bisection.
-- :mod:`repro.resilience.watchdog` — the obfuscator daemon's heartbeat
-  watchdog (fail-closed degradation lives with the daemon itself).
+
+Fail-closed degradation lives with each component that can fail: the
+obfuscator daemon's noise calculator and kernel module, the fleet's
+provisioner and admission controller.
 
 The process-global injector lives in :mod:`repro.resilience.runtime`;
 instrumented sites call ``runtime.check(point, ...)``.
@@ -36,13 +38,11 @@ from repro.resilience.supervisor import (
     SupervisorPolicy,
     SupervisorReport,
 )
-from repro.resilience.watchdog import DaemonWatchdog
 
 __all__ = [
     "FAULT_MODES",
     "FAULT_POINTS",
     "KILL_EXIT_STATUS",
-    "DaemonWatchdog",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

@@ -80,11 +80,9 @@ def render_run(run: RunTelemetry) -> str:
             lines.append(f"noise refill stalls: {stalls:,.0f}; "
                          f"slices withheld fail-closed: {stalled:,.0f} "
                          f"(zero un-noised values released)")
-        restarts = (faults.get("daemon.restarts", 0),
-                    faults.get("kernel.restarts", 0))
-        if any(restarts):
-            lines.append(f"restarts: daemon {restarts[0]:,.0f}, "
-                         f"kernel module {restarts[1]:,.0f}")
+        restarts = faults.get("kernel.restarts", 0)
+        if restarts:
+            lines.append(f"kernel module restarts: {restarts:,.0f}")
         lines.append("")
 
     slo = slo_readouts(run.metrics.get("histograms", {}))

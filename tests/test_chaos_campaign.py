@@ -298,8 +298,7 @@ class TestFleetChaos:
             default_specs,
         )
         plane = FleetControlPlane(default_artifact(), seed=CHAOS_SEED,
-                                  capacity=256, watermark=64,
-                                  refill_retries=4)
+                                  capacity=256, watermark=64)
         generator = LoadGenerator(plane, default_specs(3), windows=2,
                                   slices_per_window=60)
         with resilience.session(plan):

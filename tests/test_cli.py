@@ -362,14 +362,28 @@ class TestObservabilityCli:
         status = json.loads(status_path.read_text())
         status["health"] = {
             "healthy": False,
-            "reasons": ["tenant t00: daemon heartbeat stalled, "
-                        "watchdog restarted it 2 time(s)"]}
+            "reasons": ["tenant t00: 2 provisioning stall(s) — noise "
+                        "refills failing, slices withheld fail-closed"]}
         status_path.write_text(json.dumps(status))
         code = main(["fleet", "status", "--state-dir", str(tmp_path)])
         assert code == 1
         out = capsys.readouterr().out
         assert "UNHEALTHY" in out
-        assert "watchdog restarted it 2 time(s)" in out
+        assert "tenant t00: 2 provisioning stall(s)" in out
+
+    def test_status_healthy_when_quota_runs_out(self, tmp_path, capsys):
+        # Two of six 200-slice windows fit a 450 ε cap; admission
+        # rejecting the other four is the quota working, not a fault.
+        code = main(["fleet", "serve", "--tenants", "2", "--windows", "6",
+                     "--slices", "200", "--epsilon-cap", "450",
+                     "--state-dir", str(tmp_path), "-q"])
+        assert code == 0
+        capsys.readouterr()
+        code = main(["fleet", "status", "--state-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "windows: 4 admitted, 8 rejected" in out
+        assert "UNHEALTHY" not in out
 
     def test_status_watch_renders_frames(self, tmp_path, capsys):
         code = main(["fleet", "serve", *self.ATTACKED, "--obs",

@@ -168,32 +168,17 @@ class TestStatefile:
 
 
 class TestEventDrivenTick:
+    """Each tick sweeps every tenant, in sorted order."""
+
     def test_interval_one_sweeps_every_tenant(self, artifact, specs):
         plane = FleetControlPlane(artifact, seed=SEED)
         for spec in specs:
             plane.admit_tenant(spec)
-        result = plane.tick()
-        assert result["due_tenants"] == len(specs)
-
-    def test_larger_interval_visits_only_due_tenants(self, artifact,
-                                                     specs, reference):
-        plane = FleetControlPlane(artifact, seed=SEED,
-                                  housekeeping_interval=3)
-        report = LoadGenerator(plane, list(specs), windows=WINDOWS,
-                               slices_per_window=SLICES,
-                               ticks_per_round=1).run()
-        # Housekeeping cadence must never leak into tenant digests:
-        # reads are host-side observations, noise plans are stream-
-        # positional, and neither depends on tick scheduling.
-        assert report.fingerprint() == reference
-        due = [plane.tick()["due_tenants"] for _ in range(6)]
-        assert sum(due) == len(specs) * 2  # each tenant due twice in 6
-        assert set(due) <= {0, len(specs)}
-
-    def test_interval_validated(self, artifact):
-        with pytest.raises(ValueError, match="housekeeping_interval"):
-            FleetControlPlane(artifact, seed=SEED,
-                              housekeeping_interval=0)
+        plane.tick()
+        reads = len(plane.monitored_events)
+        assert {tenant_id: runtime.hpc_reads
+                for tenant_id, runtime in plane.tenants.items()} \
+            == {spec.tenant_id: reads for spec in specs}
 
 
 class TestShardedFleet:

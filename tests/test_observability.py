@@ -16,6 +16,7 @@ from repro.fleet import (
     AttackerProfile,
     FleetControlPlane,
     LoadGenerator,
+    TenantSpec,
     default_artifact,
     default_specs,
 )
@@ -528,17 +529,61 @@ def test_status_slo_equals_the_exported_histograms(tmp_path):
     assert slo == slo_readouts(exported)
 
 
-def test_health_degrades_on_stalls_and_restarts():
+def test_health_degrades_on_stalls_and_admission_faults():
     plane = FleetControlPlane(default_artifact(), seed=1,
                               capacity=512, watermark=128)
     LoadGenerator(plane, default_specs(2), windows=1,
                   slices_per_window=10).run()
     assert plane.health()["healthy"] is True
-    plane.tenants["t00"].watchdog.restarts = 2
+    plane.admission.faulted_windows["t00"] = 2
     plane.provisioner.buffer("t01").stalls = 1
     health = plane.health()
     assert health["healthy"] is False
-    assert len(health["reasons"]) == 2
-    assert "watchdog restarted it 2 time(s)" in health["reasons"][1] \
-        or "watchdog restarted it 2 time(s)" in health["reasons"][0]
-    assert any("fail-closed" in reason for reason in health["reasons"])
+    assert health["reasons"] == [
+        "tenant t00: 2 window(s) rejected by admission faults — "
+        "slices withheld fail-closed",
+        "tenant t01: 1 provisioning stall(s) — noise refills failing, "
+        "slices withheld fail-closed"]
+
+
+def _replay_one_at_a_time():
+    plane = FleetControlPlane(default_artifact(), seed=1,
+                              capacity=512, watermark=128)
+    LoadGenerator(plane, default_specs(4), windows=2,
+                  slices_per_window=10, concurrency=1).run()
+    return plane
+
+
+def _replay_past_the_quota():
+    plane = FleetControlPlane(default_artifact(), seed=1,
+                              capacity=512, watermark=128)
+    # ε = 1 per slice: two 100-slice windows fit a 250 cap, four don't.
+    specs = [TenantSpec(tenant_id=f"t{i:02d}", epsilon_cap=250.0)
+             for i in range(2)]
+    report = LoadGenerator(plane, specs, windows=6,
+                           slices_per_window=100).run()
+    assert report.rejected_windows == 8
+    return plane
+
+
+def _replay_quarantined_attacker():
+    plane = FleetControlPlane(default_artifact(), seed=7,
+                              capacity=1024, watermark=256,
+                              defense_policy="aggressive")
+    specs = [TenantSpec(tenant_id=f"t{i:02d}") for i in range(4)]
+    with observability.session():
+        LoadGenerator(plane, specs, windows=5, slices_per_window=40,
+                      attackers={"t03": AttackerProfile(
+                          kind="single-step")}).run()
+    assert plane.policy.state_of("t03") == "QUARANTINED"
+    return plane
+
+
+@pytest.mark.parametrize("replay", [
+    _replay_one_at_a_time, _replay_past_the_quota,
+    _replay_quarantined_attacker,
+], ids=["waiting-its-turn", "quota-exhausted", "alert-quarantine"])
+def test_admission_doing_its_job_is_healthy(replay):
+    # A tenant idle between turns, out of ε-quota, or quarantined on
+    # alerts had no slices withheld by a fault.
+    assert replay().health() == {"healthy": True, "reasons": []}

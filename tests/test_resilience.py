@@ -45,7 +45,6 @@ from repro.resilience.supervisor import (
     ShardSupervisor,
     SupervisorPolicy,
 )
-from repro.resilience.watchdog import DaemonWatchdog
 from repro.telemetry import runtime as telemetry
 
 
@@ -604,52 +603,6 @@ class TestKernelModuleRecovery:
                           times=0, match=(5,)))):
             with pytest.raises(KernelModuleCrashed):
                 daemon.compute_noise(np.linspace(0.0, 1000.0, 32))
-
-
-class TestWatchdog:
-    class StubDaemon:
-        def __init__(self):
-            self.heartbeat = 0
-            self.restarted = 0
-
-        def restart(self):
-            self.restarted += 1
-            self.heartbeat += 1
-
-    def test_healthy_daemon_never_restarted(self):
-        daemon = self.StubDaemon()
-        watchdog = DaemonWatchdog(daemon, stale_polls=2)
-        for _ in range(5):
-            daemon.heartbeat += 1
-            assert watchdog.poll()
-        assert daemon.restarted == 0
-
-    def test_stale_daemon_restarted_once_per_window(self):
-        daemon = self.StubDaemon()
-        with telemetry.session():
-            watchdog = DaemonWatchdog(daemon, stale_polls=2)
-            assert watchdog.poll()       # stale 1: tolerated
-            assert not watchdog.poll()   # stale 2: restarted
-            counters = telemetry.metrics().snapshot()["counters"]
-        assert daemon.restarted == 1
-        assert watchdog.restarts == 1
-        assert counters["daemon.restarts"] == 1
-        assert watchdog.poll()  # restart advanced the heartbeat
-
-    def test_real_daemon_restart_relaunches_module(self, injector):
-        daemon = UserspaceDaemon(DstarMechanism(1.0, 100.0), injector,
-                                 rng=0)
-        daemon.start()
-        daemon.kernel_module.stop()  # simulated crash while idle
-        beat = daemon.heartbeat
-        daemon.restart()
-        assert daemon.kernel_module.running
-        assert daemon.heartbeat == beat + 1
-        assert daemon.restarts == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DaemonWatchdog(self.StubDaemon(), stale_polls=0)
 
 
 class TestStableKey:
